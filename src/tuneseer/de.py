@@ -19,6 +19,22 @@ kernel ``evolve``; they differ only in how per-individual (CR, F) pairs are
 sampled each generation.  Per generation, draws are consumed in a fixed
 order: (CR, F) sampler, greediness q, pbest indices, r1, r2, forced
 coordinate, crossover mask, archive evictions.
+
+Archive layout.  Population and archive share one preallocated (2 pop, D)
+buffer: rows [0, pop) are the population and the next n_arch rows the
+archive, oldest entry first, so r2 indexes the buffer directly.  The archive
+order is part of the output contract: r2 picks rows by position.
+
+Eviction draws.  Replaced parents enter the archive in ascending individual
+order; each entry that finds the archive full evicts the entry at a uniform
+index in [0, pop], counted after the new entry is appended.  With m winners
+that is n_evict = max(0, n_arch + m - pop) evictions, drawn as one
+``rng.integers(0, pop + 1, size=n_evict)`` call.  For PCG64 that vector draw
+returns the same values, and leaves the same generator state, as n_evict
+scalar draws (tests/test_de.py guards this).  Appending all m entries and
+then deleting the drawn indices in order gives the same archive as
+alternating append and delete, because every index is <= pop and so never
+reaches the entries still waiting beyond it.
 """
 
 from __future__ import annotations
@@ -74,10 +90,6 @@ class RunTrace:
     @property
     def evals_used(self) -> int:
         return self.generations[-1][1]
-
-    def csv_rows(self):
-        """Rows (gen, evals, best) for serialization."""
-        return [(g, n, f) for g, n, f in self.generations]
 
 
 @dataclass(frozen=True)
@@ -139,9 +151,12 @@ def evolve(
     lower, upper = dom.lower, dom.upper
     dim = instance.dimension
 
-    pop, fvals = init_population(instance, pop_size, rng)
+    points, fvals = init_population(instance, pop_size, rng)
     used = pop_size
-    archive: list[np.ndarray] = []
+    buf = np.empty((2 * pop_size, dim))
+    pop = buf[:pop_size]
+    pop[:] = points
+    n_arch = 0
     trace = RunTrace()
     gen = 1
     trace.generations.append((gen, instance.eval_counter, float(fvals.min())))
@@ -159,7 +174,7 @@ def evolve(
         pool = np.maximum(2, np.ceil(q * pop_size).astype(int))
         pbest = order[rng.integers(0, pool)]
         r1 = _pick_r1(rng, pop_size, idx)
-        combined = np.vstack([pop] + archive) if archive else pop
+        combined = buf[: pop_size + n_arch]
         r2 = _pick_r2(rng, combined.shape[0], idx, r1)
 
         fw = f[:, None]
@@ -179,10 +194,19 @@ def evolve(
         successes = tvals < fvals
         deltas = fvals - tvals
 
-        for i in np.nonzero(improved)[0]:
-            archive.append(pop[i].copy())
-            if len(archive) > pop_size:
-                archive.pop(int(rng.integers(0, len(archive))))
+        winners = np.flatnonzero(improved)
+        if winners.size:
+            # buffer rows of the archive after appending every winner's parent
+            rows = list(range(pop_size, pop_size + n_arch))
+            rows.extend(winners.tolist())
+            first = n_arch  # archive positions below this keep their rows
+            n_evict = len(rows) - pop_size
+            if n_evict > 0:
+                for k in rng.integers(0, pop_size + 1, size=n_evict).tolist():
+                    del rows[k]
+                    first = min(first, k)
+            n_arch = len(rows)
+            buf[pop_size + first : pop_size + n_arch] = buf[rows[first:]]
 
         pop[improved] = trials[improved]
         fvals[improved] = tvals[improved]
@@ -202,7 +226,7 @@ def evolve(
 
     best = int(np.argmin(fvals))
     trace.best_solution = pop[best].copy()
-    trace.final_population = pop
+    trace.final_population = pop.copy()
     trace.final_values = fvals
     return trace
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -135,19 +136,39 @@ class TrainingStore:
         return max(self.records, key=lambda r: r.alpha)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for rec in self.records:
-                fh.write(rec.to_json_line())
-                fh.write("\n")
+        """Write one JSON line per record.  The lines go to a temporary file
+        beside ``path`` that then replaces it, so a save that fails part way
+        leaves any previous file at ``path`` intact."""
+        tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                for rec in self.records:
+                    fh.write(rec.to_json_line())
+                    fh.write("\n")
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
 
     @classmethod
     def load(cls, path) -> "TrainingStore":
+        """Read a saved store; a bad record raises ``ContractError`` naming
+        the file and its 1-based line."""
         records = []
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
-                if line:
+                if not line:
+                    continue
+                try:
                     records.append(TrainingRecord.from_json_line(line))
+                except KeyError as exc:
+                    raise ContractError(
+                        f"{path}:{lineno}: record has no field {exc}"
+                    ) from exc
+                except (ValueError, TypeError) as exc:
+                    raise ContractError(f"{path}:{lineno}: bad record: {exc}") from exc
         return cls(records)
 
 

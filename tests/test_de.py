@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tuneseer import de
+from tuneseer import de, shade
 from tuneseer.bench import ObjectiveSpec, make_instance
 from tuneseer.de import ControlParams, RunConfig, optimize
 from tuneseer.errors import ContractError
@@ -165,10 +165,160 @@ def test_selection_matches_bruteforce_recomputation():
     assert trace.generations[-1][2] == ref_vals.min()
 
 
-def test_trace_csv_rows():
-    _, trace = run(budget=100, params=(0.5, 0.5, 10))
-    rows = trace.csv_rows()
-    assert rows[0][0] == 1
-    assert len(rows) == len(trace.generations)
-    gens, evals, best = zip(*rows)
-    assert list(gens) == sorted(gens)
+def _reference_evolve(
+    instance, pop_size, budget, rng, sample_cr_f, observer=None, evictions=None
+):
+    """The kernel as it stood with the archive held as a Python list of rows,
+    joined to the population by ``np.vstack`` each generation, and one scalar
+    eviction draw per archive overflow.  ``evictions`` (a list) collects the
+    evicted indices."""
+    dom = instance.domain
+    lower, upper = dom.lower, dom.upper
+    dim = instance.dimension
+
+    pop, fvals = de.init_population(instance, pop_size, rng)
+    used = pop_size
+    archive = []
+    trace = de.RunTrace()
+    gen = 1
+    trace.generations.append((gen, instance.eval_counter, float(fvals.min())))
+
+    q_lo = 2.0 / pop_size
+    q_hi = max(q_lo, de.Q_GREEDY_MAX)
+    idx = np.arange(pop_size)
+
+    while used + pop_size <= budget:
+        gen += 1
+        cr, f = sample_cr_f(rng)
+
+        order = np.argsort(fvals, kind="stable")
+        q = rng.uniform(q_lo, q_hi, size=pop_size)
+        pool = np.maximum(2, np.ceil(q * pop_size).astype(int))
+        pbest = order[rng.integers(0, pool)]
+        r1 = de._pick_r1(rng, pop_size, idx)
+        combined = np.vstack([pop] + archive) if archive else pop
+        r2 = de._pick_r2(rng, combined.shape[0], idx, r1)
+
+        fw = f[:, None]
+        donors = pop + fw * (pop[pbest] - pop) + fw * (pop[r1] - combined[r2])
+
+        jrand = rng.integers(0, dim, size=pop_size)
+        mask = rng.random((pop_size, dim)) < cr[:, None]
+        mask[idx, jrand] = True
+        trials = np.where(mask, donors, pop)
+        trials = np.where(trials < lower, 0.5 * (lower + pop), trials)
+        trials = np.where(trials > upper, 0.5 * (upper + pop), trials)
+
+        tvals = instance.evaluate_batch(trials)
+        used += pop_size
+
+        improved = tvals <= fvals
+        successes = tvals < fvals
+        deltas = fvals - tvals
+
+        for i in np.nonzero(improved)[0]:
+            archive.append(pop[i].copy())
+            if len(archive) > pop_size:
+                k = int(rng.integers(0, len(archive)))
+                archive.pop(k)
+                if evictions is not None:
+                    evictions.append(k)
+
+        pop[improved] = trials[improved]
+        fvals[improved] = tvals[improved]
+        trace.generations.append((gen, instance.eval_counter, float(fvals.min())))
+
+        if observer is not None:
+            observer(
+                de.GenerationStats(
+                    gen=gen,
+                    cr=cr,
+                    f=f,
+                    improved=improved,
+                    successes=successes,
+                    deltas=deltas,
+                )
+            )
+
+    best = int(np.argmin(fvals))
+    trace.best_solution = pop[best].copy()
+    trace.final_population = pop
+    trace.final_values = fvals
+    return trace
+
+
+def _assert_same_trace(got, want):
+    assert got.generations == want.generations
+    assert np.array_equal(got.final_population, want.final_population)
+    assert np.array_equal(got.final_values, want.final_values)
+    assert np.array_equal(got.best_solution, want.best_solution)
+
+
+MULTI_GEN_GRID = [
+    (pop_size, dim) for pop_size in (5, 8, 19, 100, 500) for dim in (2, 10)
+]
+
+
+def _reference_run(monkeypatch, module, call):
+    """Run ``call`` with ``module.evolve`` swapped for the list-archive
+    reference; returns (trace, evicted indices)."""
+    evictions = []
+
+    def reference(*args, **kwargs):
+        return _reference_evolve(*args, evictions=evictions, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(module, "evolve", reference)
+        trace = call()
+    return trace, evictions
+
+
+@pytest.mark.parametrize("pop_size,dim", MULTI_GEN_GRID)
+def test_fixed_kernel_matches_list_archive_reference(monkeypatch, pop_size, dim):
+    # long enough for the archive to fill and evict over many generations
+    spec = ObjectiveSpec("rastrigin", dim)
+    params = ControlParams(0.9, 0.5, pop_size)
+    cfg = RunConfig(budget=pop_size * 30, seed=1000 + pop_size + dim)
+
+    got = optimize(make_instance(spec, 3), params, cfg)
+    want, evictions = _reference_run(
+        monkeypatch, de, lambda: optimize(make_instance(spec, 3), params, cfg)
+    )
+    assert len(evictions) > pop_size
+    assert got.final_population.base is None  # owned, not a buffer view
+    _assert_same_trace(got, want)
+
+
+@pytest.mark.parametrize("pop_size,dim", MULTI_GEN_GRID)
+def test_shade_kernel_matches_list_archive_reference(monkeypatch, pop_size, dim):
+    spec = ObjectiveSpec("ackley", dim)
+    cfg = RunConfig(budget=pop_size * 30, seed=2000 + pop_size + dim)
+
+    def run_shade():
+        return shade.optimize_shade(make_instance(spec, 4), cfg, pop_size=pop_size)
+
+    got = run_shade()
+    want, evictions = _reference_run(monkeypatch, shade, run_shade)
+    assert len(evictions) > pop_size
+    _assert_same_trace(got, want)
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 64, 501])
+def test_vector_integer_draw_equals_scalar_draws(k):
+    # The kernel draws all of a generation's archive evictions with one
+    # vector call.  This relies on it matching k scalar calls, including the
+    # generator state it leaves behind: PCG64 keeps the unused 32-bit half
+    # of a 64-bit output in the bit generator.  An odd seed starts the draws
+    # on that buffered half.
+    for seed in range(30):
+        for n in (6, 9, 20, 101, 501):
+            vec_rng = substream(seed, "de")
+            scalar_rng = substream(seed, "de")
+            if seed % 2:
+                vec_rng.integers(0, n)
+                scalar_rng.integers(0, n)
+            vector = vec_rng.integers(0, n, size=k).tolist()
+            scalar = [int(scalar_rng.integers(0, n)) for _ in range(k)]
+            assert vector == scalar
+            assert vec_rng.integers(0, n) == scalar_rng.integers(0, n)
+            assert vec_rng.random() == scalar_rng.random()

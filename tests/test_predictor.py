@@ -181,6 +181,51 @@ def test_serialized_store_is_byte_prefix_of_grown_store(tmp_path):
     assert b.read_bytes().startswith(a.read_bytes())
 
 
+def test_failed_save_leaves_previous_file_intact(tmp_path, monkeypatch):
+    store, _, _ = synthetic_store()
+    path = tmp_path / "store.jsonl"
+    store.save(path)
+    before = path.read_bytes()
+
+    written = []
+    original = TrainingRecord.to_json_line
+
+    def failing(self):
+        if len(written) == 5:
+            raise OSError("disk full")
+        written.append(self)
+        return original(self)
+
+    monkeypatch.setattr(TrainingRecord, "to_json_line", failing)
+    store.append([rec(0.5, 0.5, 50, (7.0, 1.0, 0.0), 9.0)])
+    with pytest.raises(OSError, match="disk full"):
+        store.save(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["store.jsonl"]
+
+
+@pytest.mark.parametrize(
+    "bad_line,reason",
+    [
+        ('{"p1": 0.5, "p2"', "bad record"),
+        ('{"p1": 0.5, "p2": 0.5}', "no field 'p3'"),
+        ("[1, 2]", "bad record"),
+    ],
+)
+def test_load_names_path_and_line_of_bad_record(tmp_path, bad_line, reason):
+    store, _, _ = synthetic_store()
+    path = tmp_path / "store.jsonl"
+    store.save(path)
+    lines = path.read_text().splitlines()
+    lines[2] = bad_line
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ContractError) as info:
+        TrainingStore.load(path)
+    message = str(info.value)
+    assert message.startswith(f"{path}:3: ")
+    assert reason in message
+
+
 def test_build_training_set_counts_and_determinism():
     suite = [ObjectiveSpec("sphere", 2)]
     ranges = ((0.0, 1.0), (0.1, 1.0), (10.0, 60.0))  # keep p3 below the budget
