@@ -24,12 +24,11 @@ from .metric import PerformanceScore, compute_alpha
 from .predictor import (
     TrainingRecord,
     TrainingStore,
-    append_and_retrain,
     build_training_set,
     recommend,
     run_predictive,
 )
-from .sampling import LhsDesign, latin_hypercube, lhs_params, make_rng, substream
+from .sampling import latin_hypercube, lhs_params, make_rng, substream
 from .shade import ShadeMemory, optimize_shade
 from .stats import PairedSample, WilcoxonResult, wilcoxon
 
@@ -41,7 +40,6 @@ __all__ = [
     "ControlParams",
     "FeatureConfig",
     "FeatureVector",
-    "LhsDesign",
     "ObjectiveInstance",
     "ObjectiveSpec",
     "PairedSample",
@@ -53,7 +51,6 @@ __all__ = [
     "TrainingRecord",
     "TrainingStore",
     "WilcoxonResult",
-    "append_and_retrain",
     "build_training_set",
     "cmd_compare",
     "cmd_features",

@@ -78,8 +78,10 @@ def extract_features(instance, cfg: FeatureConfig) -> FeatureVector:
     functions land together.  Consumes exactly sigma evaluations.
     """
     rng = substream(cfg.seed, "features")
-    design = latin_hypercube(cfg.sigma, instance.domain, rng)
-    values = instance.evaluate_batch(design.points)
+    domain = instance.domain
+    values = instance.evaluate_batch(
+        latin_hypercube(cfg.sigma, domain.lower, domain.upper, rng)
+    )
     sd = float(np.std(values, ddof=1))
     d = float(instance.dimension)
     if sd == 0.0 or not np.isfinite(sd):

@@ -37,9 +37,14 @@ from .bench import (
 )
 from .cluster import ClusterModel
 from .errors import ContractError, PairingError
-from .features import FeatureConfig, extract_features
+from .features import FeatureConfig, FeatureVector, extract_features
 from .metric import compute_alpha
-from .predictor import TrainingStore, build_training_set, run_predictive
+from .predictor import (
+    TrainingRecord,
+    TrainingStore,
+    build_training_set,
+    run_predictive,
+)
 from .sampling import ControlParams, derive_seed
 from .stats import PairedSample, wilcoxon
 
@@ -110,6 +115,13 @@ class CampaignConfig:
             raise ContractError(f"retrain must be per-run|per-batch, got {self.retrain!r}")
         if self.instances < 1:
             raise ContractError("instances must be >= 1")
+        if self.kappa < 1:
+            raise ContractError(f"kappa must be >= 1, got {self.kappa}")
+        if self.workers < 1:
+            raise ContractError(f"workers must be >= 1, got {self.workers}")
+        for sigma in (self.sigma, *(self.sigmas or ())):
+            if sigma < 2:
+                raise ContractError(f"sigma must be >= 2, got {sigma}")
         return self
 
     @classmethod
@@ -221,9 +233,9 @@ class _CompareItem:
     budget: int
     sigma: int
     item_seed: int
-    params: Optional[tuple] = None  # (p1, p2, p3) for fixed-parameter methods
-    model_json: Optional[str] = None  # predictive, per-batch
-    table: Optional[tuple] = None  # ((cluster, p1, p2, p3), ...)
+    params: Optional[ControlParams] = None  # fixed-parameter methods
+    model: Optional[ClusterModel] = None  # predictive: the frozen model
+    table: Optional[dict] = None  # and its recommendation table
 
 
 @dataclass(frozen=True)
@@ -234,8 +246,8 @@ class _CompareResult:
     alpha: Optional[float] = None
     evals: Optional[int] = None
     g_star: Optional[int] = None
-    params: Optional[tuple] = None
-    beta: Optional[tuple] = None  # predictive runs carry their features
+    params: Optional[ControlParams] = None
+    record: Optional[TrainingRecord] = None  # predictive runs: the store record
     curve: tuple = ()
 
 
@@ -254,35 +266,21 @@ def _run_compare_item(item: _CompareItem) -> _CompareResult:
     try:
         spec = ObjectiveSpec(item.function_id, item.dim)
         instance = make_instance(spec, item.instance_seed)
-        if item.method == METHOD_SHADE:
-            trace = shade.optimize_shade(
-                instance, de.RunConfig(budget=item.budget, seed=item.item_seed)
-            )
-            params_used = None
-        elif item.method == METHOD_PREDICTIVE:
-            beta = extract_features(
-                instance, FeatureConfig(sigma=item.sigma, seed=item.item_seed)
-            )
-            model = ClusterModel.from_json(item.model_json)
-            cluster_idx = model.classify(beta.as_array())
-            table = {int(c): (p1, p2, int(p3)) for c, p1, p2, p3 in item.table}
-            params_used = table[cluster_idx]
-            trace = de.optimize(
-                instance,
-                ControlParams(*params_used),
-                de.RunConfig(budget=item.budget - item.sigma, seed=item.item_seed),
-            )
-        else:
-            params_used = item.params
-            trace = de.optimize(
-                instance,
-                ControlParams(params_used[0], params_used[1], int(params_used[2])),
-                de.RunConfig(budget=item.budget, seed=item.item_seed),
-            )
-        score = compute_alpha(trace)
-        beta_out = None
+        params, record = item.params, None
         if item.method == METHOD_PREDICTIVE:
-            beta_out = (beta.beta1, beta.beta2, beta.beta3)
+            trace, score, record = run_predictive(
+                instance, item.model, item.table, item.sigma, item.budget, item.item_seed
+            )
+            # the store keys records by the test key's seed, as training does
+            record = replace(record, run_seed=item.run_seed)
+            params = record.params
+        else:
+            run_cfg = de.RunConfig(budget=item.budget, seed=item.item_seed)
+            if item.method == METHOD_SHADE:
+                trace = shade.optimize_shade(instance, run_cfg)
+            else:
+                trace = de.optimize(instance, params, run_cfg)
+            score = compute_alpha(trace)
         return _CompareResult(
             key=key,
             method=item.method,
@@ -290,12 +288,19 @@ def _run_compare_item(item: _CompareItem) -> _CompareResult:
             alpha=score.alpha,
             evals=trace.evals_used,
             g_star=score.g_star,
-            params=params_used,
-            beta=beta_out,
+            params=params,
+            record=record,
             curve=_improvement_rows(trace),
         )
     except Exception as exc:  # failures become explicit report rows
         return _CompareResult(key=key, method=item.method, status=f"failed: {exc}")
+
+
+def _run_compare_items(items: list, workers: int) -> list:
+    if workers > 1 and len(items) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(_run_compare_item, items, chunksize=4))
+    return [_run_compare_item(item) for item in items]
 
 
 @dataclass
@@ -316,7 +321,7 @@ def _alpha_row(result: _CompareResult) -> dict:
     fid, dim, inst, seed = result.key
     p1 = p2 = p3 = None
     if result.params is not None:
-        p1, p2, p3 = result.params
+        p1, p2, p3 = result.params.p1, result.params.p2, result.params.p3
     return {
         "function_id": fid,
         "dim": dim,
@@ -409,12 +414,24 @@ def _write_curves(out_dir: str, results: list) -> None:
 
 def cmd_compare(config: CampaignConfig) -> ComparisonReport:
     """Run every requested method on every test key with matched seeds and
-    emit the score table, signed-rank table, and convergence curves."""
+    emit the score table, signed-rank table, and convergence curves.
+
+    Predictive runs use a frozen (model, table) pair in batches: all keys in
+    one batch (``retrain="per-batch"``) or one key per batch (``"per-run"``).
+    Each batch's records are appended to the store; per-run mode refits the
+    pair after every batch that appended one.  The fixed-method runs share
+    the first batch, so they share its process pool too.
+    """
     config.validate()
+    predictive = METHOD_PREDICTIVE in config.methods
+    if predictive and config.budget <= config.sigma:
+        raise ContractError(
+            f"budget {config.budget} must exceed sigma {config.sigma}: "
+            "predictive runs spend sigma evaluations on features"
+        )
     specs = config.suite_specs()
-    needs_store = METHOD_PREDICTIVE in config.methods or METHOD_BEST in config.methods
     store = None
-    if needs_store:
+    if predictive or METHOD_BEST in config.methods:
         path = config.resolved_store_path()
         if not os.path.exists(path):
             raise ContractError(
@@ -431,140 +448,61 @@ def cmd_compare(config: CampaignConfig) -> ComparisonReport:
         for seed in config.seeds
     ]
 
-    def item_seed_for(spec, inst, seed):
-        return derive_seed(
-            config.campaign_seed,
-            "compare",
-            spec.function_id,
-            spec.dimension,
-            inst,
-            seed,
+    def make_item(method, spec, inst, seed, **kw) -> _CompareItem:
+        return _CompareItem(
+            method=method,
+            function_id=spec.function_id,
+            dim=spec.dimension,
+            instance_seed=inst,
+            run_seed=seed,
+            budget=config.budget,
+            sigma=config.sigma,
+            item_seed=derive_seed(
+                config.campaign_seed,
+                "compare",
+                spec.function_id,
+                spec.dimension,
+                inst,
+                seed,
+            ),
+            **kw,
         )
 
-    pool_items: list[_CompareItem] = []
+    def refit():
+        return predictor.recommendation_table(
+            store, config.kappa, seed=config.campaign_seed, scale=config.feature_scaling
+        )
+
+    items: list[_CompareItem] = []
     for method in config.methods:
         if method == METHOD_PREDICTIVE:
             continue
         for spec, inst, seed in keys:
             params = None
             if method == METHOD_LITERATURE:
-                params = (0.9, 0.5, 10 * spec.dimension)
+                params = ControlParams(0.9, 0.5, 10 * spec.dimension)
             elif method == METHOD_BEST:
-                best = store.best_record().params
-                params = (best.p1, best.p2, best.p3)
-            pool_items.append(
-                _CompareItem(
-                    method=method,
-                    function_id=spec.function_id,
-                    dim=spec.dimension,
-                    instance_seed=inst,
-                    run_seed=seed,
-                    budget=config.budget,
-                    sigma=config.sigma,
-                    item_seed=item_seed_for(spec, inst, seed),
-                    params=params,
-                )
-            )
+                params = store.best_record().params
+            items.append(make_item(method, spec, inst, seed, params=params))
 
-    if METHOD_PREDICTIVE in config.methods and config.retrain == "per-batch":
-        model, table = predictor.recommendation_table(
-            store,
-            config.kappa,
-            seed=config.campaign_seed,
-            scale=config.feature_scaling,
-        )
-        table_rows = tuple(
-            (c, p.p1, p.p2, p.p3) for c, p in sorted(table.items())
-        )
-        model_json = model.to_json()
-        for spec, inst, seed in keys:
-            pool_items.append(
-                _CompareItem(
-                    method=METHOD_PREDICTIVE,
-                    function_id=spec.function_id,
-                    dim=spec.dimension,
-                    instance_seed=inst,
-                    run_seed=seed,
-                    budget=config.budget,
-                    sigma=config.sigma,
-                    item_seed=item_seed_for(spec, inst, seed),
-                    model_json=model_json,
-                    table=table_rows,
-                )
-            )
-
-    if config.workers > 1 and len(pool_items) > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(_run_compare_item, pool_items, chunksize=4))
-    else:
-        results = [_run_compare_item(item) for item in pool_items]
-
-    new_records = []
-    if METHOD_PREDICTIVE in config.methods and config.retrain == "per-run":
-        for spec, inst, seed in keys:
-            key = (spec.function_id, spec.dimension, inst, seed)
-            item_seed = item_seed_for(spec, inst, seed)
-            try:
-                instance = make_instance(spec, inst)
-                trace, score, record = run_predictive(
-                    instance,
-                    store,
-                    kappa=config.kappa,
-                    sigma=config.sigma,
-                    budget=config.budget,
-                    seed=item_seed,
-                    scale=config.feature_scaling,
-                    model_seed=config.campaign_seed,
-                )
-                predictor.append_and_retrain(
-                    store,
-                    record,
-                    config.kappa,
-                    seed=config.campaign_seed,
-                    scale=config.feature_scaling,
-                )
-                new_records.append(record)
-                results.append(
-                    _CompareResult(
-                        key=key,
-                        method=METHOD_PREDICTIVE,
-                        status="ok",
-                        alpha=score.alpha,
-                        evals=trace.evals_used,
-                        g_star=score.g_star,
-                        params=(record.params.p1, record.params.p2, record.params.p3),
-                        curve=_improvement_rows(trace),
-                    )
-                )
-            except Exception as exc:
-                results.append(
-                    _CompareResult(key=key, method=METHOD_PREDICTIVE, status=f"failed: {exc}")
-                )
-    elif METHOD_PREDICTIVE in config.methods:
-        # per-batch: append all new observations as a single batch afterwards
-        from .features import FeatureVector
-        from .predictor import TrainingRecord, _utc_now
-
-        for res in results:
-            if res.method == METHOD_PREDICTIVE and res.status == "ok":
-                fid, dim, inst, seed = res.key
-                new_records.append(
-                    TrainingRecord(
-                        params=ControlParams(
-                            res.params[0], res.params[1], int(res.params[2])
-                        ),
-                        features=FeatureVector(*res.beta),
-                        alpha=res.alpha,
-                        function_id=fid,
-                        dim=dim,
-                        instance_seed=inst,
-                        run_seed=seed,
-                        sigma=config.sigma,
-                        timestamp=_utc_now(),
-                    )
-                )
-        if new_records:
-            store.append(new_records)
+    batches = [[]]
+    model = table = None
+    if predictive:
+        model, table = refit()
+        batches = [keys] if config.retrain == "per-batch" else [[k] for k in keys]
+    results = []
+    for batch in batches:
+        items += [
+            make_item(METHOD_PREDICTIVE, *key, model=model, table=table) for key in batch
+        ]
+        done = _run_compare_items(items, config.workers)
+        items = []
+        results.extend(done)
+        records = [res.record for res in done if res.record is not None]
+        if records:
+            store.append(records)
+            if config.retrain == "per-run":
+                model, table = refit()
 
     alpha_rows = sorted(
         (_alpha_row(res) for res in results),
@@ -587,7 +525,7 @@ def cmd_compare(config: CampaignConfig) -> ComparisonReport:
         wilcoxon_rows,
     )
     _write_curves(config.out, results)
-    if store is not None and new_records:
+    if any(res.record is not None for res in results):
         store.save(os.path.join(config.out, "store_after_compare.jsonl"))
 
     n_failed = sum(1 for r in results if r.status != "ok")
@@ -704,8 +642,6 @@ def cmd_recommend(
     """
     store = TrainingStore.load(store_path)
     if beta is not None:
-        from .features import FeatureVector
-
         beta_vec = FeatureVector(*[float(b) for b in beta])
     else:
         if function_id is None or dim is None:

@@ -4,9 +4,13 @@ recommendation engine mined from it.
 Training campaigns append one record per optimization run.  To recommend
 parameters for a new function, the stored feature vectors are clustered,
 the new function's features are classified, and the mean parameter triple of
-the top 10% of that cluster's records (ranked by score) is returned.  After a
-predictive run, the fresh record is appended and the clustering is refit, so
-the memory extends across the whole history of using the tool.
+the top 10% of that cluster's records (ranked by score) is returned.
+
+``recommendation_table`` fits the clustering and builds that per-cluster
+table; ``run_predictive`` makes one on-line run with the frozen (model,
+table) pair and returns the run's record.  A comparison appends those
+records to the store and, in per-run mode, refits the pair after every run,
+so the memory extends across the whole history of using the tool.
 """
 
 from __future__ import annotations
@@ -110,22 +114,16 @@ class TrainingRecord:
 
 
 class TrainingStore:
-    """Append-only record list with a batch version counter."""
+    """Append-only record list."""
 
     def __init__(self, records=None):
         self.records: list[TrainingRecord] = list(records or [])
-        self.version: int = 1 if self.records else 0
-        self._model_cache: dict = {}
 
     def __len__(self) -> int:
         return len(self.records)
 
     def append(self, batch) -> None:
-        batch = list(batch)
-        if not batch:
-            return
         self.records.extend(batch)
-        self.version += 1
 
     def features_array(self) -> np.ndarray:
         return np.array([r.features.as_array() for r in self.records])
@@ -184,7 +182,7 @@ def top_set_size(m: int) -> int:
 def fit_model(
     store: TrainingStore, kappa: int, seed: int = 0, scale: bool = True
 ) -> cluster.ClusterModel:
-    """Cluster the stored features; the fit is cached per store version."""
+    """Cluster the stored features."""
     if not store.records:
         raise NoDataError("cannot fit a cluster model on an empty store")
     kappa_eff = min(kappa, len(store.records))
@@ -195,12 +193,7 @@ def fit_model(
             len(store.records),
             kappa_eff,
         )
-    key = (store.version, kappa_eff, seed, scale)
-    model = store._model_cache.get(key)
-    if model is None:
-        model = cluster.fit(store.features_array(), kappa_eff, seed=seed, scale=scale)
-        store._model_cache[key] = model
-    return model
+    return cluster.fit(store.features_array(), kappa_eff, seed=seed, scale=scale)
 
 
 def _mean_params(records: list[TrainingRecord]) -> ControlParams:
@@ -219,26 +212,22 @@ def recommendation_table(
     scale: bool = True,
 ) -> tuple[cluster.ClusterModel, dict[int, ControlParams]]:
     """Fitted model plus, per cluster, the mean parameters of its top 10%
-    records by score (cached per store version)."""
+    records by score."""
     if not store.records:
         raise NoDataError("cannot recommend from an empty store")
     if kappa < 1:
         raise ContractError(f"kappa must be >= 1, got {kappa}")
     model = fit_model(store, kappa, seed=seed, scale=scale)
-    key = ("table", store.version, model.k, seed, scale)
-    table = store._model_cache.get(key)
-    if table is None:
-        labels = model.classify_all(store.features_array())
-        table = {}
-        for c in range(model.k):
-            members = [r for r, lab in zip(store.records, labels) if lab == c]
-            if not members:
-                # a centroid can end up without members after a refit; fall
-                # back to the whole store rather than failing the run
-                members = list(store.records)
-            ranked = sorted(members, key=lambda r: -r.alpha)
-            table[c] = _mean_params(ranked[: top_set_size(len(members))])
-        store._model_cache[key] = table
+    labels = model.classify_all(store.features_array())
+    table = {}
+    for c in range(model.k):
+        members = [r for r, lab in zip(store.records, labels) if lab == c]
+        if not members:
+            # a centroid can end up without members after a refit; fall
+            # back to the whole store rather than failing the run
+            members = list(store.records)
+        ranked = sorted(members, key=lambda r: -r.alpha)
+        table[c] = _mean_params(ranked[: top_set_size(len(members))])
     return model, table
 
 
@@ -345,31 +334,29 @@ def build_training_set(
             records = list(pool.map(_run_training_item, items, chunksize=8))
     else:
         records = [_run_training_item(item) for item in items]
-    store = TrainingStore()
-    store.append(records)
-    return store
+    return TrainingStore(records)
 
 
 def run_predictive(
     instance,
-    store: TrainingStore,
-    kappa: int,
+    model: cluster.ClusterModel,
+    table: dict[int, ControlParams],
     sigma: int,
     budget: int,
     seed: int,
-    scale: bool = True,
-    model_seed: int = 0,
 ) -> tuple[de.RunTrace, PerformanceScore, TrainingRecord]:
     """One on-line use of the methodology on a new instance.
 
     Features are extracted from a fresh sample (sigma evaluations charged to
-    the instance), parameters recommended, and the optimizer run with the
-    remaining budget; the score covers the combined cost.
+    the instance) and classified with ``model``; the optimizer runs with the
+    cluster's ``table`` entry on the remaining budget, and the score covers
+    the combined cost.  ``(model, table)`` is what ``recommendation_table``
+    returns; the record stores ``seed`` as its run seed.
     """
     if budget <= sigma:
         raise ContractError(f"budget {budget} must exceed sigma {sigma}")
     beta = extract_features(instance, FeatureConfig(sigma=sigma, seed=seed))
-    params, _ = recommend(store, kappa, beta, seed=model_seed, scale=scale)
+    params = table[model.classify(beta.as_array())]
     trace = de.optimize(
         instance, params, de.RunConfig(budget=budget - sigma, seed=seed)
     )
@@ -386,17 +373,3 @@ def run_predictive(
         timestamp=_utc_now(),
     )
     return trace, score, record
-
-
-def append_and_retrain(
-    store: TrainingStore,
-    record: TrainingRecord,
-    kappa: int,
-    seed: int = 0,
-    scale: bool = True,
-) -> tuple[TrainingStore, cluster.ClusterModel]:
-    """Append one record (version bump) and refit the clustering on the
-    grown store."""
-    store.append([record])
-    model = fit_model(store, kappa, seed=seed, scale=scale)
-    return store, model

@@ -78,39 +78,24 @@ def substream(seed: int, *labels) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
-@dataclass(frozen=True)
-class LhsDesign:
-    """A Latin hypercube sample: ``points[i, j]`` is sample i in dimension j,
-    with exactly one point per 1/n stratum in every dimension."""
-
-    n: int
-    d: int
-    points: np.ndarray
-
-
-def latin_hypercube(n: int, box, rng: np.random.Generator) -> LhsDesign:
-    """Jittered Latin hypercube design over ``box`` (an object with ``lower``
-    and ``upper`` vectors).
+def latin_hypercube(n: int, lower, upper, rng: np.random.Generator) -> np.ndarray:
+    """Jittered Latin hypercube design over the box [lower, upper]: an
+    (n, d) array, row i is sample i, with exactly one point per 1/n stratum
+    in every dimension.
 
     Per dimension, the n strata are permuted independently and one point is
     placed uniformly at random inside each stratum.
     """
     if n < 1:
         raise ContractError(f"sample count must be >= 1, got {n}")
-    lower = np.asarray(box.lower, dtype=float)
-    upper = np.asarray(box.upper, dtype=float)
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
     d = lower.size
     # argsort of iid uniforms gives an independent permutation per column
     strata = np.argsort(rng.random((n, d)), axis=0)
     jitter = rng.random((n, d))
     unit = (strata + jitter) / n
-    return LhsDesign(n=n, d=d, points=lower + unit * (upper - lower))
-
-
-class _Box:
-    def __init__(self, lower, upper):
-        self.lower = np.asarray(lower, dtype=float)
-        self.upper = np.asarray(upper, dtype=float)
+    return lower + unit * (upper - lower)
 
 
 def lhs_params(
@@ -125,9 +110,8 @@ def lhs_params(
     """
     lower = [r[0] for r in ranges]
     upper = [r[1] for r in ranges]
-    design = latin_hypercube(n, _Box(lower, upper), rng)
     out = []
-    for row in design.points:
+    for row in latin_hypercube(n, lower, upper, rng):
         p3 = max(MIN_POP_SIZE, int(math.floor(row[2] + 0.5)))
         out.append(ControlParams(p1=float(row[0]), p2=float(row[1]), p3=p3))
     return out

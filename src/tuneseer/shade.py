@@ -120,6 +120,4 @@ def optimize_shade(
         if observer is not None:
             observer(stats, memory)
 
-    trace = evolve(instance, pop_size, cfg.budget, rng, sampler, on_generation)
-    trace.shade_memory = memory  # final state, for inspection
-    return trace
+    return evolve(instance, pop_size, cfg.budget, rng, sampler, on_generation)

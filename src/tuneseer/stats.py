@@ -20,11 +20,22 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import ContractError, PairingError
 
 EXACT_MAX_N = 20
+
+
+def rankdata(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-D array; tied values share their average rank."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], values.size]
+    ranks = np.empty(values.size)
+    # a tie group holding sorted positions [start, end) shares (start+1+end)/2
+    ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)
+    return ranks
 
 
 @dataclass(frozen=True)

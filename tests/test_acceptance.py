@@ -22,6 +22,7 @@ from tuneseer.predictor import (
     TrainingRecord,
     TrainingStore,
     recommend,
+    recommendation_table,
     run_predictive,
     top_set_size,
 )
@@ -96,8 +97,9 @@ def test_criterion_3_lhs_stratification():
             self.upper = np.full(d, 5.0)
 
     for n, d in [(4, 1), (100, 3), (1000, 50)]:
-        design = latin_hypercube(n, Box(d), make_rng(n + d))
-        unit = (design.points + 5.0) / 10.0
+        box = Box(d)
+        points = latin_hypercube(n, box.lower, box.upper, make_rng(n + d))
+        unit = (points + 5.0) / 10.0
         strata = np.clip(np.floor(unit * n).astype(int), 0, n - 1)
         for j in range(d):
             assert np.all(np.bincount(strata[:, j], minlength=n) == 1)
@@ -331,10 +333,11 @@ def test_criterion_9_budget_accounting():
     ]
     store = TrainingStore(records)
     budget, sigma = 10_000, 1000
+    model, table = recommendation_table(store, kappa=2)
     for seed in range(30):
         instance = make_instance(ObjectiveSpec("ackley", 10), 5)
         trace, score, _ = run_predictive(
-            instance, store, kappa=2, sigma=sigma, budget=budget, seed=seed
+            instance, model, table, sigma=sigma, budget=budget, seed=seed
         )
         assert instance.eval_counter <= budget
         assert instance.eval_counter - sigma <= budget - sigma

@@ -18,6 +18,7 @@ from tuneseer.harness import (
     cmd_train,
     compute_wilcoxon_rows,
 )
+from tuneseer.predictor import TrainingStore, recommend
 
 # budget must cover sigma plus the largest admissible population (500)
 TINY = dict(
@@ -309,3 +310,83 @@ def test_workers_match_sequential(trained):
     a = open(out / "w1" / "alpha.csv", "rb").read()
     b = open(out / "w2" / "alpha.csv", "rb").read()
     assert a == b
+
+
+@pytest.mark.parametrize("retrain", ["per-batch", "per-run"])
+def test_predictive_rows_replay_the_store(trained, retrain):
+    # per-batch recommends every key from the starting store; per-run from
+    # the starting store plus the records of the keys before it
+    out, _, store_path = trained
+    compare_out = out / f"replay-{retrain}"
+    config = train_config(
+        out,
+        suite="holdout",
+        out=str(compare_out),
+        store_path=store_path,
+        methods=("predictive", "literature"),
+        retrain=retrain,
+    )
+    cmd_compare(config)
+    start = TrainingStore.load(store_path).records
+    grown = TrainingStore.load(compare_out / "store_after_compare.jsonl").records
+    assert grown[: len(start)] == start
+    rows = {
+        (r["function_id"], int(r["dim"]), int(r["instance_seed"]), int(r["run_seed"])): r
+        for r in read_rows(compare_out / "alpha.csv")
+        if r["method"] == "predictive"
+    }
+    new = grown[len(start) :]
+    assert len(new) == len(rows) == 12
+    memory = TrainingStore(start)
+    for record in new:
+        row = rows[(record.function_id, record.dim, record.instance_seed, record.run_seed)]
+        params, _ = recommend(
+            memory,
+            config.kappa,
+            record.features,
+            seed=config.campaign_seed,
+            scale=config.feature_scaling,
+        )
+        assert record.params == params
+        want = (repr(params.p1), repr(params.p2), str(params.p3))
+        assert (row["p1"], row["p2"], row["p3"]) == want
+        assert row["alpha"] == repr(record.alpha)
+        if retrain == "per-run":
+            memory.append([record])
+
+
+@pytest.mark.parametrize("retrain", ["per-batch", "per-run"])
+def test_predictive_workers_match_sequential(trained, retrain):
+    out, _, store_path = trained
+    kw = dict(
+        suite="holdout",
+        store_path=store_path,
+        methods=("predictive", "literature"),
+        retrain=retrain,
+    )
+    for workers in (1, 2):
+        compare_out = str(out / f"pw{workers}-{retrain}")
+        cmd_compare(train_config(out, out=compare_out, workers=workers, **kw))
+    a = open(out / f"pw1-{retrain}" / "alpha.csv", "rb").read()
+    b = open(out / f"pw2-{retrain}" / "alpha.csv", "rb").read()
+    assert a == b
+
+
+@pytest.mark.parametrize(
+    "override", [dict(kappa=0), dict(workers=0), dict(sigma=1), dict(sigmas=(50, 1))]
+)
+def test_validate_rejects_bad_config(override):
+    CampaignConfig().validate()
+    with pytest.raises(ContractError):
+        CampaignConfig(**override).validate()
+
+
+def test_compare_rejects_budget_within_sigma_before_any_run(trained, tmp_path):
+    _, _, store_path = trained
+    argv = [
+        "compare", "--suite", "holdout", "--dims", "2", "--instances", "1",
+        "--seeds", "1", "--methods", "predictive", "--store", store_path,
+        "--budget", "40", "--sigma", "50", "--out", str(tmp_path),
+    ]
+    assert cli.main(argv) == 1
+    assert not os.path.exists(tmp_path / "alpha.csv")

@@ -11,7 +11,6 @@ from tuneseer.features import FeatureConfig, FeatureVector, extract_features
 from tuneseer.predictor import (
     TrainingRecord,
     TrainingStore,
-    append_and_retrain,
     build_training_set,
     recommend,
     recommendation_table,
@@ -123,28 +122,18 @@ def test_kappa_clamped_to_record_count():
     assert params.p3 == 30
 
 
-def test_store_versioning():
+def test_store_append():
     store = TrainingStore()
-    assert store.version == 0
-    store.append([rec(0.1, 0.5, 10, (2.0, 1.0, 0.0), 1.0)])
-    assert store.version == 1
+    first = rec(0.1, 0.5, 10, (2.0, 1.0, 0.0), 1.0)
+    store.append([first])
     store.append([rec(0.2, 0.5, 10, (2.0, 1.0, 0.0), 2.0), rec(0.3, 0.5, 10, (2.0, 1.0, 0.0), 3.0)])
-    assert store.version == 2
     assert len(store) == 3
     store.append([])
-    assert store.version == 2
-
-
-def test_append_and_retrain():
-    store = TrainingStore()
-    new = rec(0.4, 0.5, 15, (2.0, 1.0, 0.0), 2.0)
-    store_out, model = append_and_retrain(store, new, kappa=10)
-    assert store_out is store
-    assert store.version == 1
-    assert model.k == 1  # clamped to record count
+    assert len(store) == 3
     # duplicate append: no dedup
-    append_and_retrain(store, new, kappa=10)
-    assert len(store) == 2
+    store.append([first])
+    assert len(store) == 4
+    assert store.records[0] is store.records[3]
 
 
 def test_jsonl_round_trip_and_field_order(tmp_path):
@@ -257,7 +246,6 @@ def test_build_training_set_empty_seeds():
         [ObjectiveSpec("sphere", 2)], sigma=50, seeds=(), budget=500, n_param_sets=5
     )
     assert len(store) == 0
-    assert store.version == 0
 
 
 def test_build_training_set_validates_budget():
@@ -271,8 +259,9 @@ def test_run_predictive_budget_accounting():
     store, _, _ = synthetic_store()
     instance = make_instance(ObjectiveSpec("ackley", 2), 9)
     budget, sigma = 2000, 400
+    model, table = recommendation_table(store, kappa=2)
     trace, score, record = run_predictive(
-        instance, store, kappa=2, sigma=sigma, budget=budget, seed=3
+        instance, model, table, sigma=sigma, budget=budget, seed=3
     )
     assert instance.eval_counter <= budget
     optimizer_evals = instance.eval_counter - sigma
@@ -285,20 +274,23 @@ def test_run_predictive_budget_accounting():
 def test_run_predictive_uses_fresh_features():
     store, _, _ = synthetic_store()
     instance = make_instance(ObjectiveSpec("ackley", 2), 9)
+    model, table = recommendation_table(store, kappa=2)
     _, _, record = run_predictive(
-        instance, store, kappa=2, sigma=300, budget=1500, seed=5
+        instance, model, table, sigma=300, budget=1500, seed=5
     )
     fresh = extract_features(
         make_instance(ObjectiveSpec("ackley", 2), 9), FeatureConfig(300, seed=5)
     )
     assert record.features == fresh
+    assert record.params == recommend(store, kappa=2, beta_new=fresh)[0]
 
 
 def test_run_predictive_validates_budget():
     store, _, _ = synthetic_store()
     instance = make_instance(ObjectiveSpec("sphere", 2), 1)
+    model, table = recommendation_table(store, kappa=1)
     with pytest.raises(ContractError):
-        run_predictive(instance, store, kappa=1, sigma=500, budget=500, seed=0)
+        run_predictive(instance, model, table, sigma=500, budget=500, seed=0)
 
 
 def test_recommendation_table_covers_all_clusters():

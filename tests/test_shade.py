@@ -78,8 +78,13 @@ def test_zero_success_generations_freeze_memory_in_full_run():
 
 def test_memory_bounds_after_run():
     instance = make_instance(ObjectiveSpec("rastrigin", 5), 2)
-    trace = optimize_shade(instance, RunConfig(3000, seed=8))
-    memory = trace.shade_memory
+    final = {}
+
+    def observer(stats, memory):
+        final["memory"] = memory
+
+    optimize_shade(instance, RunConfig(3000, seed=8), observer=observer)
+    memory = final["memory"]
     assert np.all(memory.m_cr >= 0.0) and np.all(memory.m_cr <= 1.0)
     assert np.all(memory.m_f > 0.0) and np.all(memory.m_f <= 1.0)
 

@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tuneseer.errors import ContractError, PairingError
-from tuneseer.stats import PairedSample, wilcoxon
+from tuneseer.stats import PairedSample, rankdata, wilcoxon
 
 
 def oracle_ranks(abs_d):
@@ -25,6 +26,14 @@ def oracle_ranks(abs_d):
             ranks[order[t]] = avg
         i = j + 1
     return ranks
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 6).map(lambda v: v / 4.0), min_size=1, max_size=40))
+def test_rankdata_matches_oracle_and_scipy(values):
+    ranks = rankdata(np.array(values))
+    assert ranks.tolist() == oracle_ranks(values)
+    assert np.array_equal(ranks, scipy.stats.rankdata(values))
 
 
 def oracle_exact(diffs):
