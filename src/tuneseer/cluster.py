@@ -7,8 +7,27 @@ binning.  Scaling can be disabled to test the unscaled reading.
 
 Fitting runs several k-means++ seedings and keeps the lowest-inertia model.
 Lloyd iterations stop when the largest centroid displacement drops below a
-tolerance; empty clusters are re-seeded to the point currently farthest from
-its assigned centroid, which keeps the inertia sequence non-increasing.
+tolerance.  An empty cluster is re-seeded to the point farthest from its
+assigned centroid among the points whose cluster has another member, so a
+re-seed never empties a cluster in turn and the inertia sequence stays
+finite and non-increasing, also when there are fewer distinct points than
+clusters.
+
+All squared distances -- Lloyd assignments, the k-means++ seeding update and
+classification -- come from one kernel, ``_pairwise_sq``.  It accumulates the
+(n, k) distance matrix column by column, ``d2 += diff * diff`` for feature 0,
+1, ..., d - 1, so no (n, k, d) temporary is built.  For fewer than 8 features
+numpy's sum over the last axis of the broadcast form
+``((p[:, None] - c[None]) ** 2).sum(axis=2)`` is a plain left-to-right sum,
+so the two give the same floats bit for bit.  The centroid update sums each
+column with ``np.bincount`` in row order and divides by the member counts;
+for 2 or more features that is the order and the division of the masked
+``points[labels == c].mean(axis=0)``.  (With a single feature the masked
+mean sums pairwise and can differ in the last bit.)  Feature vectors have 3
+features, so fits and classifications equal those of the broadcast form.
+A GEMM form, ``|x|^2 - 2 x.c + |c|^2``, rounds differently: it would change
+assignments at near-ties and so the fitted models, which makes it a
+behaviour change of its own.
 """
 
 from __future__ import annotations
@@ -67,13 +86,11 @@ class ClusterModel:
         """Index of the nearest centroid in scaled space; ties break to the
         lowest index."""
         z = self.scaler.transform(np.atleast_2d(np.asarray(point, dtype=float)))
-        d2 = ((z[:, None, :] - self.centroids[None, :, :]) ** 2).sum(axis=2)
-        return int(np.argmin(d2[0]))
+        return int(np.argmin(_pairwise_sq(z, self.centroids)[0]))
 
     def classify_all(self, points: np.ndarray) -> np.ndarray:
         z = self.scaler.transform(np.asarray(points, dtype=float))
-        d2 = ((z[:, None, :] - self.centroids[None, :, :]) ** 2).sum(axis=2)
-        return np.argmin(d2, axis=1)
+        return np.argmin(_pairwise_sq(z, self.centroids), axis=1)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -103,7 +120,14 @@ class ClusterModel:
 
 
 def _pairwise_sq(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    return ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    """(n, k) squared Euclidean distances, summed over the features in
+    column order (see the module docstring)."""
+    diff = points[:, None, 0] - centroids[None, :, 0]
+    d2 = diff * diff
+    for j in range(1, points.shape[1]):
+        diff = points[:, None, j] - centroids[None, :, j]
+        d2 += diff * diff
+    return d2
 
 
 def kmeanspp_seed(
@@ -120,7 +144,7 @@ def kmeanspp_seed(
         log.warning("k=%d exceeds point count %d; clamping", k, n)
         k = n
     chosen = [int(rng.integers(0, n))]
-    d2 = ((points - points[chosen[0]]) ** 2).sum(axis=1)
+    d2 = _pairwise_sq(points, points[chosen])[:, 0]
     while len(chosen) < k:
         total = d2.sum()
         if total <= 0.0:
@@ -129,7 +153,7 @@ def kmeanspp_seed(
             idx = int(np.searchsorted(np.cumsum(d2), rng.random() * total))
             idx = min(idx, n - 1)
         chosen.append(idx)
-        d2 = np.minimum(d2, ((points - points[idx]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, _pairwise_sq(points, points[idx : idx + 1])[:, 0])
     return points[chosen].copy()
 
 
@@ -142,35 +166,41 @@ def lloyd(
     """Alternate assignment and centroid updates.
 
     Returns (centroids, labels, inertia, inertia_history); the history has
-    one entry per assignment and is non-increasing.
+    one entry per assignment and is non-increasing.  Needs 1 <= k <= n
+    initial centroids.
     """
-    if centroids.shape[0] == 0:
-        raise ContractError("need at least one initial centroid")
-    centroids = centroids.copy()
+    n, d = points.shape
     k = centroids.shape[0]
+    if not 1 <= k <= n:
+        raise ContractError(f"need 1 to {n} initial centroids, got {k}")
+    centroids = centroids.copy()
+    rows = np.arange(n)
     history = []
-    labels = None
     for _ in range(max_iter):
         d2 = _pairwise_sq(points, centroids)
         labels = np.argmin(d2, axis=1)
-        point_d2 = d2[np.arange(points.shape[0]), labels]
-        for c in range(k):
-            if not np.any(labels == c):
-                far = int(np.argmax(point_d2))
-                centroids[c] = points[far]
-                labels[far] = c
-                point_d2[far] = 0.0
+        point_d2 = d2[rows, labels]
+        counts = np.bincount(labels, minlength=k)
+        for c in np.flatnonzero(counts == 0):
+            # the farthest point that does not leave its cluster empty
+            far = int(np.argmax(np.where(counts[labels] > 1, point_d2, -1.0)))
+            counts[labels[far]] -= 1
+            counts[c] = 1
+            centroids[c] = points[far]
+            labels[far] = c
+            point_d2[far] = 0.0
         history.append(float(point_d2.sum()))
-        new_centroids = np.stack(
-            [points[labels == c].mean(axis=0) for c in range(k)]
-        )
+        sums = np.empty((k, d))
+        for j in range(d):
+            sums[:, j] = np.bincount(labels, weights=points[:, j], minlength=k)
+        new_centroids = sums / counts[:, None]
         shift = float(np.max(np.abs(new_centroids - centroids)))
         centroids = new_centroids
         if shift < tol:
             break
     d2 = _pairwise_sq(points, centroids)
     labels = np.argmin(d2, axis=1)
-    inertia = float(d2[np.arange(points.shape[0]), labels].sum())
+    inertia = float(d2[rows, labels].sum())
     history.append(inertia)
     return centroids, labels, inertia, history
 

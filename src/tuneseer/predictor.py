@@ -180,20 +180,18 @@ def top_set_size(m: int) -> int:
 
 
 def fit_model(
-    store: TrainingStore, kappa: int, seed: int = 0, scale: bool = True
+    features: np.ndarray, kappa: int, seed: int = 0, scale: bool = True
 ) -> cluster.ClusterModel:
-    """Cluster the stored features."""
-    if not store.records:
+    """Cluster the (n, 3) stored feature rows."""
+    n = len(features)
+    if n == 0:
         raise NoDataError("cannot fit a cluster model on an empty store")
-    kappa_eff = min(kappa, len(store.records))
+    kappa_eff = min(kappa, n)
     if kappa_eff < kappa:
         log.warning(
-            "kappa=%d exceeds record count %d; clamped to %d",
-            kappa,
-            len(store.records),
-            kappa_eff,
+            "kappa=%d exceeds record count %d; clamped to %d", kappa, n, kappa_eff
         )
-    return cluster.fit(store.features_array(), kappa_eff, seed=seed, scale=scale)
+    return cluster.fit(features, kappa_eff, seed=seed, scale=scale)
 
 
 def _mean_params(records: list[TrainingRecord]) -> ControlParams:
@@ -217,8 +215,9 @@ def recommendation_table(
         raise NoDataError("cannot recommend from an empty store")
     if kappa < 1:
         raise ContractError(f"kappa must be >= 1, got {kappa}")
-    model = fit_model(store, kappa, seed=seed, scale=scale)
-    labels = model.classify_all(store.features_array())
+    features = store.features_array()
+    model = fit_model(features, kappa, seed=seed, scale=scale)
+    labels = model.classify_all(features)
     table = {}
     for c in range(model.k):
         members = [r for r, lab in zip(store.records, labels) if lab == c]

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tuneseer.cluster import (
+    DEFAULT_MAX_ITER,
     ClusterModel,
     FeatureScaler,
     fit,
@@ -203,3 +204,188 @@ def test_empty_cluster_reseeding_keeps_monotonicity(seed):
     init = pts[:3] + rng.normal(scale=0.01, size=(3, 2))
     _, _, _, history = lloyd(pts, init)
     assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    distinct=st.integers(1, 5),
+    n=st.integers(1, 30),
+    k=st.integers(1, 12),
+    d=st.integers(1, 4),
+    spread_init=st.booleans(),
+)
+def test_lloyd_converges_on_duplicated_points(seed, distinct, n, k, d, spread_init):
+    # fewer distinct rows than clusters: a re-seed must not take the only
+    # member of a cluster, which left a 0/0 centroid and a NaN inertia that
+    # never met the tolerance
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(-3, 4, size=(distinct, d)).astype(float)
+    pts = rows[rng.integers(0, distinct, size=n)]
+    k = min(k, n)
+    if spread_init:
+        init = kmeanspp_seed(pts, k, make_rng(seed))
+    else:  # arbitrary rows, repeats allowed: many empty clusters at once
+        init = pts[rng.integers(0, n, size=k)]
+    centroids, _, _, history = lloyd(pts, init)
+    assert np.all(np.isfinite(centroids))
+    assert np.all(np.isfinite(history))
+    assert all(b <= a * (1 + 1e-12) for a, b in zip(history, history[1:]))
+    assert len(history) - 1 < DEFAULT_MAX_ITER
+
+
+def test_lloyd_rejects_more_centroids_than_points():
+    with pytest.raises(ContractError):
+        lloyd(two_triads(), np.zeros((7, 2)))
+
+
+# -- the broadcast kernel as the reference ---------------------------------
+#
+# These are the distance and update routines as they were before the
+# column-order kernel: every fit, seeding, Lloyd run and classification must
+# give the same floats bit for bit.  The equality holds for 2 to 7 features:
+# from 8 on, numpy sums the broadcast form's last axis pairwise, and with one
+# feature the masked mean sums its single column pairwise, while the kernel
+# and the bincount update sum in index order.  The cases below stay within
+# that range (stored feature vectors have 3), and none reaches the one place
+# where the re-seeding rule changed: a farthest point that is the only
+# member of its cluster.
+
+
+def _reference_pairwise_sq(points, centroids):
+    return ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+
+
+def _reference_kmeanspp_seed(points, k, rng):
+    n = points.shape[0]
+    k = min(k, n)
+    chosen = [int(rng.integers(0, n))]
+    d2 = ((points - points[chosen[0]]) ** 2).sum(axis=1)
+    while len(chosen) < k:
+        total = d2.sum()
+        if total <= 0.0:
+            idx = int(rng.integers(0, n))
+        else:
+            idx = int(np.searchsorted(np.cumsum(d2), rng.random() * total))
+            idx = min(idx, n - 1)
+        chosen.append(idx)
+        d2 = np.minimum(d2, ((points - points[idx]) ** 2).sum(axis=1))
+    return points[chosen].copy()
+
+
+def _reference_lloyd(points, centroids, max_iter=300, tol=1e-9):
+    centroids = centroids.copy()
+    k = centroids.shape[0]
+    history = []
+    for _ in range(max_iter):
+        d2 = _reference_pairwise_sq(points, centroids)
+        labels = np.argmin(d2, axis=1)
+        point_d2 = d2[np.arange(points.shape[0]), labels]
+        for c in range(k):
+            if not np.any(labels == c):
+                far = int(np.argmax(point_d2))
+                centroids[c] = points[far]
+                labels[far] = c
+                point_d2[far] = 0.0
+        history.append(float(point_d2.sum()))
+        new_centroids = np.stack(
+            [points[labels == c].mean(axis=0) for c in range(k)]
+        )
+        shift = float(np.max(np.abs(new_centroids - centroids)))
+        centroids = new_centroids
+        if shift < tol:
+            break
+    d2 = _reference_pairwise_sq(points, centroids)
+    labels = np.argmin(d2, axis=1)
+    inertia = float(d2[np.arange(points.shape[0]), labels].sum())
+    history.append(inertia)
+    return centroids, labels, inertia, history
+
+
+def _reference_fit(points, k, seed=0, restarts=10):
+    scaler = FeatureScaler.fit(points)
+    z = scaler.transform(points)
+    rng = make_rng(seed)
+    best = None
+    for _ in range(restarts):
+        init = _reference_kmeanspp_seed(z, min(k, len(points)), rng)
+        centroids, _, inertia, _ = _reference_lloyd(z, init)
+        if best is None or inertia < best[1]:
+            best = (centroids, inertia)
+    return best[0], scaler, best[1]
+
+
+def _reference_classify_all(centroids, scaler, points):
+    return np.argmin(_reference_pairwise_sq(scaler.transform(points), centroids), axis=1)
+
+
+def _feature_like(n, seed):
+    """Rows shaped like stored feature vectors: the dimension count (a few
+    repeated values), a skew-like and a kurtosis-like column."""
+    rng = np.random.default_rng(seed)
+    return np.column_stack(
+        [
+            rng.choice([2.0, 5.0, 10.0, 20.0, 40.0], size=n),
+            rng.normal(scale=0.8, size=n),
+            rng.gamma(2.0, 1.5, size=n) - 1.2,
+        ]
+    )
+
+
+def _assert_lloyd_equal(got, want):
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    assert got[2] == want[2]
+    assert got[3] == want[3]
+
+
+@pytest.mark.parametrize("n", [150, 450, 900, 1440])
+def test_fit_matches_broadcast_reference(n):
+    pts = _feature_like(n, seed=n)
+    for seed in (0, 1):
+        model = fit(pts, 10, seed=seed)
+        centroids, scaler, inertia = _reference_fit(pts, 10, seed=seed)
+        assert np.array_equal(model.centroids, centroids)
+        assert model.inertia == inertia
+        assert np.array_equal(model.scaler.means, scaler.means)
+        assert np.array_equal(model.scaler.stds, scaler.stds)
+        probe = _feature_like(300, seed=n + 1)
+        want = _reference_classify_all(centroids, scaler, probe)
+        assert np.array_equal(model.classify_all(probe), want)
+        assert [model.classify(row) for row in probe[:40]] == want[:40].tolist()
+
+
+@pytest.mark.parametrize("n", [150, 900, 1440])
+def test_seed_and_lloyd_match_broadcast_reference(n):
+    pts = _feature_like(n, seed=7 * n)
+    z = FeatureScaler.fit(pts).transform(pts)
+    for seed in range(3):
+        init = kmeanspp_seed(z, 10, make_rng(seed))
+        assert np.array_equal(init, _reference_kmeanspp_seed(z, 10, make_rng(seed)))
+        _assert_lloyd_equal(lloyd(z, init), _reference_lloyd(z, init))
+
+
+def test_small_random_sets_match_broadcast_reference():
+    # continuous sets up to k = n, and integer-grid sets with repeated rows
+    # and exact ties up to k = the number of distinct rows (more centroids
+    # than distinct rows is the re-seeding corner tested above)
+    rng = np.random.default_rng(2024)
+    for case in range(300):
+        n = int(rng.integers(1, 40))
+        d = int(rng.integers(2, 8))
+        pts = rng.normal(size=(n, d)) * rng.uniform(0.01, 100.0, size=d)
+        if case % 3 == 0:
+            pts = np.round(pts / pts.std(axis=0, keepdims=True).clip(1e-3))
+        distinct = len(np.unique(pts, axis=0))
+        k = distinct if case % 5 == 0 else int(rng.integers(1, distinct + 1))
+        seed = int(rng.integers(0, 1_000_000))
+        init = kmeanspp_seed(pts, k, make_rng(seed))
+        assert np.array_equal(init, _reference_kmeanspp_seed(pts, k, make_rng(seed)))
+        _assert_lloyd_equal(lloyd(pts, init), _reference_lloyd(pts, init))
+        model = fit(pts, k, seed=seed, restarts=3)
+        centroids, scaler, inertia = _reference_fit(pts, k, seed=seed, restarts=3)
+        assert np.array_equal(model.centroids, centroids)
+        assert model.inertia == inertia
+        assert np.array_equal(
+            model.classify_all(pts), _reference_classify_all(centroids, scaler, pts)
+        )
