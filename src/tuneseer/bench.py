@@ -263,15 +263,29 @@ def _ackley_rotated(z: np.ndarray) -> np.ndarray:
 _WEIERSTRASS_K = np.arange(21)
 _WEIERSTRASS_A = 0.5**_WEIERSTRASS_K
 _WEIERSTRASS_B = 2.0 * np.pi * 3.0**_WEIERSTRASS_K
+_WEIERSTRASS_F0 = float(np.sum(_WEIERSTRASS_A * np.cos(_WEIERSTRASS_B * 0.5)))
+
+# Elements of the (rows, D, 21) term table built at once: 256 KiB per
+# temporary, whatever the batch size.
+_WEIERSTRASS_BLOCK = 2**15
 
 
 def _weierstrass(z: np.ndarray) -> np.ndarray:
     """Weierstrass (a=0.5, b=3, kmax=20):
-    f = sum_i sum_k a^k cos(2 pi b^k (z_i + 0.5)) - D sum_k a^k cos(pi b^k)"""
-    d = z.shape[1]
-    terms = _WEIERSTRASS_A * np.cos(_WEIERSTRASS_B * (z[..., None] + 0.5))
-    f0 = float(np.sum(_WEIERSTRASS_A * np.cos(_WEIERSTRASS_B * 0.5)))
-    return np.sum(terms, axis=(1, 2)) - d * f0
+    f = sum_i sum_k a^k cos(2 pi b^k (z_i + 0.5)) - D sum_k a^k cos(pi b^k)
+
+    The term table is built for blocks of rows at a time, so evaluation
+    memory stays bounded for any batch.  Each row is still summed over its
+    own (D, 21) slab, so the values do not depend on the block size."""
+    n, d = z.shape
+    out = np.empty(n)
+    rows = max(1, _WEIERSTRASS_BLOCK // (d * _WEIERSTRASS_K.size))
+    for start in range(0, n, rows):
+        block = z[start : start + rows, :, None]
+        terms = _WEIERSTRASS_A * np.cos(_WEIERSTRASS_B * (block + 0.5))
+        out[start : start + rows] = np.sum(terms, axis=(1, 2))
+    out -= d * _WEIERSTRASS_F0
+    return out
 
 
 def _griewank_rosenbrock(z: np.ndarray) -> np.ndarray:

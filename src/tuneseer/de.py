@@ -191,8 +191,15 @@ def evolve(
         used += pop_size
 
         improved = tvals <= fvals
-        successes = tvals < fvals
-        deltas = fvals - tvals
+        if observer is not None:  # taken before selection overwrites fvals
+            stats = GenerationStats(
+                gen=gen,
+                cr=cr,
+                f=f,
+                improved=improved,
+                successes=tvals < fvals,
+                deltas=fvals - tvals,
+            )
 
         winners = np.flatnonzero(improved)
         if winners.size:
@@ -202,9 +209,10 @@ def evolve(
             first = n_arch  # archive positions below this keep their rows
             n_evict = len(rows) - pop_size
             if n_evict > 0:
-                for k in rng.integers(0, pop_size + 1, size=n_evict).tolist():
+                evict = rng.integers(0, pop_size + 1, size=n_evict)
+                first = min(first, int(evict.min()))
+                for k in evict.tolist():
                     del rows[k]
-                    first = min(first, k)
             n_arch = len(rows)
             buf[pop_size + first : pop_size + n_arch] = buf[rows[first:]]
 
@@ -213,16 +221,7 @@ def evolve(
         trace.generations.append((gen, instance.eval_counter, float(fvals.min())))
 
         if observer is not None:
-            observer(
-                GenerationStats(
-                    gen=gen,
-                    cr=cr,
-                    f=f,
-                    improved=improved,
-                    successes=successes,
-                    deltas=deltas,
-                )
-            )
+            observer(stats)
 
     best = int(np.argmin(fvals))
     trace.best_solution = pop[best].copy()

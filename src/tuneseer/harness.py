@@ -18,10 +18,10 @@ Failed runs are kept as explicit rows, never dropped silently.
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
@@ -45,7 +45,7 @@ from .predictor import (
     build_training_set,
     run_predictive,
 )
-from .sampling import ControlParams, derive_seed
+from .sampling import DEFAULT_PARAM_RANGES, ControlParams, derive_seed
 from .stats import PairedSample, wilcoxon
 
 METHOD_LITERATURE = "literature"
@@ -53,6 +53,9 @@ METHOD_BEST = "best-of-training"
 METHOD_SHADE = "shade"
 METHOD_PREDICTIVE = "predictive"
 METHOD_ORDER = (METHOD_PREDICTIVE, METHOD_BEST, METHOD_SHADE, METHOD_LITERATURE)
+
+# Largest population of the training design, and so of any predictive mean.
+DESIGN_MAX_POP = int(DEFAULT_PARAM_RANGES[2][1])
 
 # Instance seeds used by comparisons are offset from the training ones unless
 # the campaign explicitly mirrors the same-suite protocol.
@@ -113,6 +116,8 @@ class CampaignConfig:
             raise ContractError("seeds must be pairwise distinct")
         if self.retrain not in ("per-run", "per-batch"):
             raise ContractError(f"retrain must be per-run|per-batch, got {self.retrain!r}")
+        if not self.dims or min(self.dims) < 2:
+            raise ContractError(f"every dimension must be >= 2, got dims={self.dims}")
         if self.instances < 1:
             raise ContractError("instances must be >= 1")
         if self.kappa < 1:
@@ -161,6 +166,35 @@ class CampaignConfig:
         return self.store_path or os.path.join(self.out, "store.jsonl")
 
 
+def _literature_params(dim: int) -> ControlParams:
+    """The rule-of-thumb triple (0.9, 0.5, 10 D)."""
+    return ControlParams(0.9, 0.5, 10 * dim)
+
+
+def _require_budget(config: CampaignConfig, methods, store=None) -> None:
+    """Reject, before any run, a budget below one generation of the largest
+    population a requested method can use; "training" names the training
+    design.  Runs that spend sigma evaluations on features need it on top."""
+    for method in methods:
+        if method in ("training", METHOD_PREDICTIVE):
+            floor = config.sigma + DESIGN_MAX_POP
+            why = f"sigma {config.sigma} + population up to {DESIGN_MAX_POP}"
+        elif method == METHOD_LITERATURE:
+            floor = _literature_params(max(config.dims)).p3
+            why = f"population 10 D at D = {max(config.dims)}"
+        elif method == METHOD_SHADE:
+            floor = shade.POP_SIZE
+            why = "the adaptive baseline's population"
+        else:
+            floor = store.best_record().params.p3
+            why = "the best training record's population"
+        if config.budget < floor:
+            raise ContractError(
+                f"budget {config.budget} is below one {method} generation: "
+                f"{floor} ({why})"
+            )
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -193,6 +227,7 @@ def _write_suite_json(out_dir: str, specs: list[ObjectiveSpec]) -> None:
 def cmd_train(config: CampaignConfig) -> str:
     """Run the off-line training campaign and persist the store."""
     config.validate()
+    _require_budget(config, ("training",))
     specs = config.suite_specs()
     store = build_training_set(
         specs,
@@ -298,7 +333,7 @@ def _run_compare_item(item: _CompareItem) -> _CompareResult:
 
 def _run_compare_items(items: list, workers: int) -> list:
     if workers > 1 and len(items) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_compare_item, items, chunksize=4))
     return [_run_compare_item(item) for item in items]
 
@@ -424,11 +459,6 @@ def cmd_compare(config: CampaignConfig) -> ComparisonReport:
     """
     config.validate()
     predictive = METHOD_PREDICTIVE in config.methods
-    if predictive and config.budget <= config.sigma:
-        raise ContractError(
-            f"budget {config.budget} must exceed sigma {config.sigma}: "
-            "predictive runs spend sigma evaluations on features"
-        )
     specs = config.suite_specs()
     store = None
     if predictive or METHOD_BEST in config.methods:
@@ -440,6 +470,7 @@ def cmd_compare(config: CampaignConfig) -> ComparisonReport:
         store = TrainingStore.load(path)
         if not store.records:
             raise ContractError(f"training store {path} is empty")
+    _require_budget(config, config.methods, store)
 
     keys = [
         (spec, inst, seed)
@@ -480,7 +511,7 @@ def cmd_compare(config: CampaignConfig) -> ComparisonReport:
         for spec, inst, seed in keys:
             params = None
             if method == METHOD_LITERATURE:
-                params = ControlParams(0.9, 0.5, 10 * spec.dimension)
+                params = _literature_params(spec.dimension)
             elif method == METHOD_BEST:
                 params = store.best_record().params
             items.append(make_item(method, spec, inst, seed, params=params))

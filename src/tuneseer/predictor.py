@@ -15,11 +15,11 @@ so the memory extends across the whole history of using the tool.
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import logging
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -218,9 +218,12 @@ def recommendation_table(
     features = store.features_array()
     model = fit_model(features, kappa, seed=seed, scale=scale)
     labels = model.classify_all(features)
+    # one stable sort groups the records by cluster, each in store order
+    order = np.argsort(labels, kind="stable")
+    groups = np.split(order, np.cumsum(np.bincount(labels, minlength=model.k))[:-1])
     table = {}
-    for c in range(model.k):
-        members = [r for r, lab in zip(store.records, labels) if lab == c]
+    for c, group in enumerate(groups):
+        members = [store.records[i] for i in group]
         if not members:
             # a centroid can end up without members after a refit; fall
             # back to the whole store rather than failing the run
@@ -329,7 +332,7 @@ def build_training_set(
                         )
                     )
     if workers > 1 and len(items) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_run_training_item, items, chunksize=8))
     else:
         records = [_run_training_item(item) for item in items]

@@ -388,6 +388,7 @@ def desk_campaign(tmp_path_factory):
     return out, report
 
 
+@pytest.mark.slow
 def test_criterion_10_end_to_end_direction(desk_campaign):
     out, report = desk_campaign
     assert report.n_failed == 0
@@ -414,6 +415,7 @@ def test_criterion_10_end_to_end_direction(desk_campaign):
     ok(10, f"campaign reported W={row['W']} > 0 with p={row['p']:.3g}")
 
 
+@pytest.mark.slow
 def test_criterion_11_campaign_determinism(desk_campaign, tmp_path_factory):
     out, _ = desk_campaign
     out2 = tmp_path_factory.mktemp("desk-repeat")

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from tuneseer import bench
 from tuneseer.bench import (
     HOLDOUT_FUNCTIONS,
+    HOLDOUT_VALUE_OFFSET,
     REGISTRY,
     TRAINING_FUNCTIONS,
     ObjectiveSpec,
@@ -183,3 +185,57 @@ def test_step_function_plateau():
     # off the plateau the rounded quadratic dominates
     assert inst.evaluate([0.9, 0.0, 0.0]) == pytest.approx(0.1, abs=1e-5)
     assert inst.evaluate([0.0, 0.0, 0.0]) == 0.0
+
+
+def unblocked_weierstrass(z):
+    """The whole-batch evaluation: one (n, D, 21) term table."""
+    a, b = bench._WEIERSTRASS_A, bench._WEIERSTRASS_B
+    terms = a * np.cos(b * (z[..., None] + 0.5))
+    f0 = float(np.sum(a * np.cos(b * 0.5)))
+    return np.sum(terms, axis=(1, 2)) - z.shape[1] * f0
+
+
+def block_rows(d):
+    return max(1, bench._WEIERSTRASS_BLOCK // (d * bench._WEIERSTRASS_K.size))
+
+
+def boundary_sizes(d):
+    rows = block_rows(d)
+    return sorted({1, 2, rows - 1, rows, rows + 1, 2 * rows, 3 * rows + 1, 1000})
+
+
+@pytest.mark.parametrize("d", [2, 3, 10, 20, 50])
+def test_weierstrass_blocks_match_unblocked_reference(d):
+    rng = np.random.default_rng(d)
+    sizes = boundary_sizes(d) + rng.integers(1, 3000, size=4).tolist()
+    for n in sizes:
+        z = rng.uniform(-40.0, 40.0, size=(n, d))
+        assert np.array_equal(bench._weierstrass(z), unblocked_weierstrass(z)), n
+
+
+@pytest.mark.parametrize("d", [2, 3, 10, 20, 50])
+def test_rotated_weierstrass_batches_match_unblocked_reference(d):
+    rng = np.random.default_rng(100 + d)
+    for seed in (1, 2):
+        inst = make_instance(ObjectiveSpec("weierstrass", d), seed)
+        for n in (1, block_rows(d), block_rows(d) + 1, 1000):
+            points = rng.uniform(-5.0, 5.0, size=(n, d))
+            z = (points - inst.shift) @ inst.rotation.T
+            want = unblocked_weierstrass(z) + HOLDOUT_VALUE_OFFSET
+            assert np.array_equal(inst.evaluate_batch(points), want)
+        # a single point is rotated as a matrix-vector product
+        z = inst.rotation @ (points[0] - inst.shift)
+        want = unblocked_weierstrass(z[None, :]) + HOLDOUT_VALUE_OFFSET
+        assert inst.evaluate(points[0]) == want[0]
+
+
+def test_weierstrass_memory_is_bounded():
+    # the whole-batch table of a (4000, 50) batch is 34 MB per temporary
+    z = np.random.default_rng(0).uniform(-5.0, 5.0, size=(4000, 50))
+    tracemalloc.start()
+    try:
+        out = bench._weierstrass(z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < out.nbytes + 2 * 2**20

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from tuneseer import cli, harness
+from tuneseer.bench import ObjectiveInstance
 from tuneseer.errors import ContractError
 from tuneseer.harness import (
     CampaignConfig,
@@ -128,9 +129,13 @@ def test_compare_requires_store(tmp_path):
         )
 
 
-def test_failed_runs_are_explicit_rows(trained):
+def test_failed_runs_are_explicit_rows(trained, monkeypatch):
     out, _, _ = trained
-    # optimizer budget of 10 evals cannot fit any admissible population
+
+    def raising_objective(self, points):
+        raise FloatingPointError(f"{self.spec.function_id} cannot be evaluated")
+
+    monkeypatch.setattr(ObjectiveInstance, "evaluate_batch", raising_objective)
     config = train_config(
         out,
         suite="holdout",
@@ -138,8 +143,6 @@ def test_failed_runs_are_explicit_rows(trained):
         store_path=str(out / "store.jsonl"),
         methods=("predictive",),
         seeds=(0,),
-        budget=60,
-        sigma=50,
     )
     report = cmd_compare(config)
     rows = read_rows(os.path.join(str(out / "fail"), "alpha.csv"))
@@ -373,7 +376,16 @@ def test_predictive_workers_match_sequential(trained, retrain):
 
 
 @pytest.mark.parametrize(
-    "override", [dict(kappa=0), dict(workers=0), dict(sigma=1), dict(sigmas=(50, 1))]
+    "override",
+    [
+        dict(kappa=0),
+        dict(workers=0),
+        dict(sigma=1),
+        dict(sigmas=(50, 1)),
+        dict(dims=(1,)),
+        dict(dims=(2, 0, 10)),
+        dict(dims=()),
+    ],
 )
 def test_validate_rejects_bad_config(override):
     CampaignConfig().validate()
@@ -383,10 +395,53 @@ def test_validate_rejects_bad_config(override):
 
 def test_compare_rejects_budget_within_sigma_before_any_run(trained, tmp_path):
     _, _, store_path = trained
-    argv = [
-        "compare", "--suite", "holdout", "--dims", "2", "--instances", "1",
-        "--seeds", "1", "--methods", "predictive", "--store", store_path,
-        "--budget", "40", "--sigma", "50", "--out", str(tmp_path),
-    ]
+    argv = compare_argv(store_path, tmp_path, "predictive", 40)
     assert cli.main(argv) == 1
     assert not os.path.exists(tmp_path / "alpha.csv")
+
+
+def compare_argv(store_path, out, methods, budget, dims="2", sigma="50"):
+    return [
+        "compare", "--suite", "holdout", "--dims", dims, "--instances", "1",
+        "--seeds", "1", "--methods", methods, "--store", store_path,
+        "--budget", str(budget), "--sigma", sigma, "--out", str(out),
+    ]
+
+
+@pytest.mark.parametrize(
+    "methods,dims,floor",
+    [
+        ("literature", "20", 200),  # 10 D at the largest D
+        ("literature", "2,20", 200),
+        ("shade", "2", 100),
+        ("predictive", "2", 50 + 500),  # sigma + the largest design population
+        ("literature,predictive", "2", 50 + 500),
+    ],
+)
+def test_compare_rejects_budget_below_one_generation(
+    trained, tmp_path, methods, dims, floor
+):
+    _, _, store_path = trained
+    for budget, code in ((floor - 1, 1), (floor, 0)):
+        out = tmp_path / str(budget)
+        argv = compare_argv(store_path, out, methods, budget, dims=dims)
+        assert cli.main(argv) == code
+        assert os.path.exists(out / "alpha.csv") == (code == 0)
+    rows = read_rows(out / "alpha.csv")
+    assert rows and all(r["status"] == "ok" for r in rows)
+
+
+def test_compare_rejects_budget_below_best_record_population(trained, tmp_path):
+    _, _, store_path = trained
+    p3 = TrainingStore.load(store_path).best_record().params.p3
+    out = tmp_path / "best"
+    argv = compare_argv(store_path, out, "best-of-training", p3 - 1)
+    assert cli.main(argv) == 1
+    assert not os.path.exists(out / "alpha.csv")
+    assert cli.main(compare_argv(store_path, out, "best-of-training", p3)) == 0
+
+
+def test_train_rejects_budget_below_sigma_plus_design_population(tmp_path):
+    with pytest.raises(ContractError, match="550"):
+        cmd_train(train_config(tmp_path, budget=549, sigma=50))
+    assert not os.path.exists(tmp_path / "store.jsonl")

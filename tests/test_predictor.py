@@ -5,7 +5,9 @@ import os
 import numpy as np
 import pytest
 
+from tuneseer import predictor
 from tuneseer.bench import ObjectiveSpec, make_instance, training_suite
+from tuneseer.cluster import ClusterModel, FeatureScaler
 from tuneseer.errors import ContractError, NoDataError
 from tuneseer.features import FeatureConfig, FeatureVector, extract_features
 from tuneseer.predictor import (
@@ -299,3 +301,58 @@ def test_recommendation_table_covers_all_clusters():
     assert set(table) == {0, 1}
     for params in table.values():
         params.validate()
+
+
+def scanned_table(store, model):
+    """Per-cluster tables by one scan of the whole store per cluster."""
+    labels = model.classify_all(store.features_array())
+    table = {}
+    for c in range(model.k):
+        members = [r for r, lab in zip(store.records, labels) if lab == c]
+        if not members:
+            members = list(store.records)
+        ranked = sorted(members, key=lambda r: -r.alpha)
+        table[c] = predictor._mean_params(ranked[: top_set_size(len(members))])
+    return table
+
+
+def random_store(rng, n):
+    # few distinct alphas, so the top sets hinge on the stable tie order
+    return TrainingStore(
+        [
+            rec(
+                float(rng.random()),
+                float(rng.uniform(0.1, 1.0)),
+                int(rng.integers(5, 500)),
+                tuple(rng.normal(size=3)),
+                float(rng.integers(0, 4)),
+                seed=i,
+            )
+            for i in range(n)
+        ]
+    )
+
+
+@pytest.mark.parametrize("n,kappa", [(1, 1), (7, 3), (40, 5), (300, 10)])
+def test_recommendation_table_matches_store_scan(n, kappa):
+    rng = np.random.default_rng(n)
+    for seed in range(3):
+        store = random_store(rng, n)
+        model, table = recommendation_table(store, kappa, seed=seed)
+        assert table == scanned_table(store, model)
+
+
+def test_recommendation_table_empty_cluster_falls_back_to_store(monkeypatch):
+    store, low, high = synthetic_store()
+    far = np.array([[2.0, 1.0, 0.5], [20.0, 2.0, -0.5], [1e6, 1e6, 1e6]])
+    model = ClusterModel(
+        k=3, centroids=far, scaler=FeatureScaler.identity(3), inertia=0.0
+    )
+    monkeypatch.setattr(predictor, "fit_model", lambda *a, **kw: model)
+    _, table = recommendation_table(store, kappa=3)
+    assert table == scanned_table(store, model)
+    everyone = [a for group in (low, high) for a in group]
+    assert (table[2].p1, table[2].p2, table[2].p3) == bruteforce_recommendation(
+        everyone
+    )
+    assert (table[0].p1, table[0].p2, table[0].p3) == bruteforce_recommendation(low)
