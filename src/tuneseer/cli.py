@@ -2,7 +2,8 @@
 
 Subcommands: train, compare, features, recommend, report.  Options can come
 from a JSON config file (--config); explicit flags override config keys.
-Exit codes: 0 success, 1 contract/config error, 2 I/O error.
+Exit codes: 0 success, 1 contract/config error (a malformed flag value is
+reported as ``error: <flag>: ...``), 2 I/O error.
 """
 
 from __future__ import annotations
@@ -15,15 +16,21 @@ from . import harness
 from .errors import ContractError
 
 
-def _parse_int_list(text: str) -> tuple:
-    return tuple(int(part) for part in text.split(",") if part.strip() != "")
+def _parse_list(flag: str, text: str, convert=int) -> tuple:
+    """Comma-separated values; a malformed or empty list is a config error."""
+    try:
+        values = tuple(convert(part) for part in text.split(",") if part.strip())
+    except ValueError:
+        values = ()
+    if not values:
+        raise ContractError(f"{flag}: expected a comma-separated list, got {text!r}")
+    return values
 
 
-def _parse_seeds(text: str) -> tuple:
+def _parse_seeds(flag: str, text: str) -> tuple:
     """Either a count ('30' -> seeds 0..29) or an explicit comma list."""
-    if "," in text:
-        return _parse_int_list(text)
-    return tuple(range(int(text)))
+    values = _parse_list(flag, text)
+    return values if "," in text else tuple(range(values[0]))
 
 
 def _add_campaign_flags(sub: argparse.ArgumentParser) -> None:
@@ -65,10 +72,12 @@ def _campaign_config(args: argparse.Namespace) -> harness.CampaignConfig:
     )
     overrides = {
         "suite": args.suite,
-        "dims": _parse_int_list(args.dims) if args.dims else None,
+        "dims": _parse_list("--dims", args.dims) if args.dims else None,
         "instances": args.instances,
-        "seeds": _parse_seeds(args.seeds) if args.seeds else None,
-        "train_seeds": _parse_seeds(args.train_seeds) if args.train_seeds else None,
+        "seeds": _parse_seeds("--seeds", args.seeds) if args.seeds else None,
+        "train_seeds": (
+            _parse_seeds("--train-seeds", args.train_seeds) if args.train_seeds else None
+        ),
         "budget": args.budget,
         "kappa": args.kappa,
         "n_param_sets": args.n_param_sets,
@@ -80,7 +89,7 @@ def _campaign_config(args: argparse.Namespace) -> harness.CampaignConfig:
         "campaign_seed": args.campaign_seed,
     }
     if args.sigma:
-        sigmas = _parse_int_list(args.sigma)
+        sigmas = _parse_list("--sigma", args.sigma)
         overrides["sigma"] = sigmas[0]
         overrides["sigmas"] = sigmas if len(sigmas) > 1 else None
     if args.no_feature_scaling:
@@ -135,9 +144,9 @@ def main(argv=None) -> int:
         elif args.command == "recommend":
             beta = None
             if args.beta:
-                beta = tuple(float(x) for x in args.beta.split(","))
+                beta = _parse_list("--beta", args.beta, float)
                 if len(beta) != 3:
-                    raise ContractError("--beta needs exactly three values")
+                    raise ContractError("--beta: needs exactly three values")
             harness.cmd_recommend(
                 store_path=args.store,
                 kappa=args.kappa,

@@ -69,9 +69,6 @@ class FeatureScaler:
     def transform(self, points: np.ndarray) -> np.ndarray:
         return (points - self.means) / self.stds
 
-    def inverse(self, points: np.ndarray) -> np.ndarray:
-        return points * self.stds + self.means
-
 
 @dataclass(frozen=True)
 class ClusterModel:
@@ -135,14 +132,10 @@ def kmeanspp_seed(
 ) -> np.ndarray:
     """D^2-weighted seeding: first centroid uniform, each next one chosen
     with probability proportional to squared distance from the chosen set.
-
-    k larger than the point count is clamped down with a warning."""
+    Needs 1 <= k <= n."""
     n = points.shape[0]
-    if k < 1:
-        raise ContractError(f"k must be >= 1, got {k}")
-    if k > n:
-        log.warning("k=%d exceeds point count %d; clamping", k, n)
-        k = n
+    if not 1 <= k <= n:
+        raise ContractError(f"need 1 to {n} centroids, got k={k}")
     chosen = [int(rng.integers(0, n))]
     d2 = _pairwise_sq(points, points[chosen])[:, 0]
     while len(chosen) < k:
@@ -214,14 +207,19 @@ def fit(
     max_iter: int = DEFAULT_MAX_ITER,
     tol: float = DEFAULT_TOL,
 ) -> ClusterModel:
-    """Best-of-restarts k-means++ fit on (n, d) feature rows."""
+    """Best-of-restarts k-means++ fit on (n, d) feature rows.
+
+    This is where k <= n is enforced: a k above the row count is clamped to
+    it with a warning."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] == 0:
         raise ContractError("fit needs a non-empty (n, d) array")
     n = points.shape[0]
     if k < 1:
         raise ContractError(f"k must be >= 1, got {k}")
-    k = min(k, n)
+    if k > n:
+        log.warning("k=%d exceeds point count %d; clamping", k, n)
+        k = n
     scaler = FeatureScaler.fit(points) if scale else FeatureScaler.identity(
         points.shape[1]
     )

@@ -96,10 +96,8 @@ class RunTrace:
 class GenerationStats:
     """Passed to the kernel observer after each generation's selection."""
 
-    gen: int
     cr: np.ndarray
     f: np.ndarray
-    improved: np.ndarray  # trial <= target (replacement happened)
     successes: np.ndarray  # trial < target (strict improvement)
     deltas: np.ndarray  # target value - trial value, per individual
 
@@ -193,12 +191,7 @@ def evolve(
         improved = tvals <= fvals
         if observer is not None:  # taken before selection overwrites fvals
             stats = GenerationStats(
-                gen=gen,
-                cr=cr,
-                f=f,
-                improved=improved,
-                successes=tvals < fvals,
-                deltas=fvals - tvals,
+                cr=cr, f=f, successes=tvals < fvals, deltas=fvals - tvals
             )
 
         winners = np.flatnonzero(improved)

@@ -36,7 +36,7 @@ from .bench import (
     training_suite,
 )
 from .cluster import ClusterModel
-from .errors import ContractError, PairingError
+from .errors import ContractError
 from .features import FeatureConfig, FeatureVector, extract_features
 from .metric import compute_alpha
 from .predictor import (
@@ -195,6 +195,12 @@ def _require_budget(config: CampaignConfig, methods, store=None) -> None:
             )
 
 
+def _require_seeds(seeds, name: str) -> None:
+    """Reject an empty seed list before any run or file write."""
+    if not seeds:
+        raise ContractError(f"{name} must name at least one seed")
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -227,6 +233,7 @@ def _write_suite_json(out_dir: str, specs: list[ObjectiveSpec]) -> None:
 def cmd_train(config: CampaignConfig) -> str:
     """Run the off-line training campaign and persist the store."""
     config.validate()
+    _require_seeds(config.train_seeds, "train_seeds")
     _require_budget(config, ("training",))
     specs = config.suite_specs()
     store = build_training_set(
@@ -458,6 +465,7 @@ def cmd_compare(config: CampaignConfig) -> ComparisonReport:
     the first batch, so they share its process pool too.
     """
     config.validate()
+    _require_seeds(config.seeds, "seeds")
     predictive = METHOD_PREDICTIVE in config.methods
     specs = config.suite_specs()
     store = None
@@ -584,6 +592,7 @@ def cmd_features(config: CampaignConfig) -> str:
     """Emit the feature table with cluster assignments (the data behind the
     feature-space scatter)."""
     config.validate()
+    _require_seeds(config.seeds, "seeds")
     specs = config.suite_specs()
     sigmas = config.sigmas or (config.sigma,)
     rows = []
@@ -618,12 +627,8 @@ def cmd_features(config: CampaignConfig) -> str:
                         }
                     )
         points = np.array([[r["beta1"], r["beta2"], r["beta3"]] for r in group])
-        kappa_eff = min(config.kappa, len(group))
         model = cluster.fit(
-            points,
-            kappa_eff,
-            seed=config.campaign_seed,
-            scale=config.feature_scaling,
+            points, config.kappa, seed=config.campaign_seed, scale=config.feature_scaling
         )
         labels = model.classify_all(points)
         for row, lab in zip(group, labels):

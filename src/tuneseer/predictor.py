@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
-import logging
 import math
 import os
 from dataclasses import dataclass
@@ -38,26 +37,7 @@ from .sampling import (
     substream,
 )
 
-log = logging.getLogger(__name__)
-
 TOP_FRACTION = 0.1
-
-# Serialized record field order; floats keep full round-trip precision.
-RECORD_FIELDS = (
-    "p1",
-    "p2",
-    "p3",
-    "beta1",
-    "beta2",
-    "beta3",
-    "alpha",
-    "function_id",
-    "dim",
-    "instance_seed",
-    "run_seed",
-    "sigma",
-    "timestamp",
-)
 
 
 @dataclass(frozen=True)
@@ -182,16 +162,11 @@ def top_set_size(m: int) -> int:
 def fit_model(
     features: np.ndarray, kappa: int, seed: int = 0, scale: bool = True
 ) -> cluster.ClusterModel:
-    """Cluster the (n, 3) stored feature rows."""
-    n = len(features)
-    if n == 0:
+    """Cluster the (n, 3) stored feature rows; ``cluster.fit`` clamps a
+    kappa above the record count."""
+    if len(features) == 0:
         raise NoDataError("cannot fit a cluster model on an empty store")
-    kappa_eff = min(kappa, n)
-    if kappa_eff < kappa:
-        log.warning(
-            "kappa=%d exceeds record count %d; clamped to %d", kappa, n, kappa_eff
-        )
-    return cluster.fit(features, kappa_eff, seed=seed, scale=scale)
+    return cluster.fit(features, kappa, seed=seed, scale=scale)
 
 
 def _mean_params(records: list[TrainingRecord]) -> ControlParams:

@@ -85,38 +85,27 @@ def optimize_shade(
     instance,
     cfg: RunConfig,
     pop_size: int = POP_SIZE,
-    memory_size: int = MEMORY_SIZE,
-    adapt: bool = True,
     observer: Optional[Callable[[GenerationStats, ShadeMemory], None]] = None,
 ) -> RunTrace:
     """Adaptive run; trace contract identical to the fixed-parameter engine.
 
-    ``adapt=False`` freezes the memory (useful for kernel-equivalence
-    checks).  ``observer`` sees each generation's selection stats and the
-    memory state after any update.
+    ``observer`` sees each generation's selection stats and the memory
+    state after any update.
     """
     if cfg.budget < pop_size:
         raise ContractError(
             f"budget {cfg.budget} is below one generation of size {pop_size}"
         )
     rng = substream(cfg.seed, "de")
-    memory = ShadeMemory(
-        m_cr=np.full(memory_size, 0.5), m_f=np.full(memory_size, 0.5)
-    )
-    current: dict[str, np.ndarray] = {}
+    memory = ShadeMemory()
 
     def sampler(r: np.random.Generator):
-        cr, f = sample_memory_params(memory, pop_size, r)
-        current["cr"] = cr
-        current["f"] = f
-        return cr, f
+        return sample_memory_params(memory, pop_size, r)
 
     def on_generation(stats: GenerationStats) -> None:
-        if adapt and stats.successes.any():
-            sel = stats.successes
-            memory.update(
-                current["cr"][sel], current["f"][sel], stats.deltas[sel]
-            )
+        sel = stats.successes
+        if sel.any():
+            memory.update(stats.cr[sel], stats.f[sel], stats.deltas[sel])
         if observer is not None:
             observer(stats, memory)
 

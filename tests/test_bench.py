@@ -10,6 +10,7 @@ from tuneseer.bench import (
     HOLDOUT_VALUE_OFFSET,
     REGISTRY,
     TRAINING_FUNCTIONS,
+    ObjectiveInstance,
     ObjectiveSpec,
     holdout_suite,
     make_instance,
@@ -134,12 +135,39 @@ def test_eval_counter_exactness():
     assert inst.eval_counter == 12
 
 
+@pytest.mark.parametrize("d", [2, 3, 20])
+def test_single_point_evaluation_is_the_batch_path(monkeypatch, d):
+    # evaluate() is a one-row evaluate_batch(): same value, same charge
+    calls = []
+    batch = ObjectiveInstance.evaluate_batch
+
+    def recording(self, points):
+        values = batch(self, points)
+        calls.append((np.array(points), values))
+        return values
+
+    monkeypatch.setattr(ObjectiveInstance, "evaluate_batch", recording)
+    rng = np.random.default_rng(d)
+    for fid in sorted(REGISTRY):
+        inst = make_instance(ObjectiveSpec(fid, d), 1)
+        for x in rng.uniform(-5.0, 5.0, size=(10, d)):
+            calls.clear()
+            value = inst.evaluate(x)
+            assert len(calls) == 1, fid
+            points, values = calls[0]
+            assert np.array_equal(points, x[None])
+            assert value == values[0], fid
+        assert inst.eval_counter == 10
+
+
 def test_suites_disjoint_and_sized():
     train = {s.function_id for s in training_suite()}
     hold = {s.function_id for s in holdout_suite()}
     assert train == set(TRAINING_FUNCTIONS)
     assert hold == set(HOLDOUT_FUNCTIONS)
     assert not train & hold
+    # a function no preset reaches has no caller; keep it out of the registry
+    assert set(REGISTRY) == train | hold
     assert len(train) >= 10
     assert len(hold) >= 5
 
@@ -223,10 +251,8 @@ def test_rotated_weierstrass_batches_match_unblocked_reference(d):
             z = (points - inst.shift) @ inst.rotation.T
             want = unblocked_weierstrass(z) + HOLDOUT_VALUE_OFFSET
             assert np.array_equal(inst.evaluate_batch(points), want)
-        # a single point is rotated as a matrix-vector product
-        z = inst.rotation @ (points[0] - inst.shift)
-        want = unblocked_weierstrass(z[None, :]) + HOLDOUT_VALUE_OFFSET
-        assert inst.evaluate(points[0]) == want[0]
+        # a single point takes the batch path
+        assert inst.evaluate(points[0]) == inst.evaluate_batch(points[:1])[0]
 
 
 def test_weierstrass_memory_is_bounded():

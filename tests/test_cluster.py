@@ -1,4 +1,5 @@
 import itertools
+import logging
 import math
 
 import numpy as np
@@ -127,7 +128,7 @@ def test_fit_deterministic():
 def test_classify_centroid_and_k1():
     pts = two_triads()
     model = fit(pts, k=2, scale=False, restarts=25)
-    back = model.scaler.inverse(model.centroids)
+    back = model.centroids * model.scaler.stds + model.scaler.means
     for c in range(2):
         assert model.classify(back[c]) == c
     k1 = fit(pts, k=1, scale=False)
@@ -144,11 +145,12 @@ def test_classify_tie_breaks_to_lowest_index():
     assert model.classify([1.0]) == 0
 
 
-def test_scaler_round_trip():
+def test_scaler_standardizes():
     rng = np.random.default_rng(1)
     pts = rng.normal(loc=3.0, scale=[1.0, 50.0, 0.01], size=(30, 3))
-    scaler = FeatureScaler.fit(pts)
-    assert np.abs(scaler.inverse(scaler.transform(pts)) - pts).max() < 1e-12
+    z = FeatureScaler.fit(pts).transform(pts)
+    assert np.abs(z.mean(axis=0)).max() < 1e-12
+    assert np.abs(z.std(axis=0) - 1.0).max() < 1e-12
 
 
 def test_scaler_handles_constant_feature():
@@ -156,7 +158,8 @@ def test_scaler_handles_constant_feature():
     scaler = FeatureScaler.fit(pts)
     z = scaler.transform(pts)
     assert np.all(np.isfinite(z))
-    assert np.abs(scaler.inverse(z) - pts).max() < 1e-12
+    assert scaler.stds[1] == 1.0
+    assert np.all(z[:, 1] == 0.0)
 
 
 def test_permutation_invariance_on_separated_data():
@@ -174,10 +177,19 @@ def test_permutation_invariance_on_separated_data():
     assert parts_a == parts_b
 
 
-def test_kmeanspp_clamps_large_k():
+def test_kmeanspp_rejects_large_k():
     pts = two_triads()
-    seeds = kmeanspp_seed(pts, 10, make_rng(0))
-    assert seeds.shape[0] == len(pts)
+    with pytest.raises(ContractError):
+        kmeanspp_seed(pts, len(pts) + 1, make_rng(0))
+    assert kmeanspp_seed(pts, len(pts), make_rng(0)).shape[0] == len(pts)
+
+
+def test_fit_clamps_large_k_with_one_warning(caplog):
+    pts = two_triads()
+    with caplog.at_level(logging.WARNING):
+        model = fit(pts, 10)
+    assert model.k == len(pts)
+    assert [r.name for r in caplog.records] == ["tuneseer.cluster"]
 
 
 def test_fit_validates_k():

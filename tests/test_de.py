@@ -230,14 +230,7 @@ def _reference_evolve(
 
         if observer is not None:
             observer(
-                de.GenerationStats(
-                    gen=gen,
-                    cr=cr,
-                    f=f,
-                    improved=improved,
-                    successes=successes,
-                    deltas=deltas,
-                )
+                de.GenerationStats(cr=cr, f=f, successes=successes, deltas=deltas)
             )
 
     best = int(np.argmin(fvals))

@@ -1,10 +1,14 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tuneseer import cli, harness
 from tuneseer.bench import ObjectiveInstance
@@ -445,3 +449,88 @@ def test_train_rejects_budget_below_sigma_plus_design_population(tmp_path):
     with pytest.raises(ContractError, match="550"):
         cmd_train(train_config(tmp_path, budget=549, sigma=50))
     assert not os.path.exists(tmp_path / "store.jsonl")
+
+
+def test_train_rejects_empty_train_seeds_keeping_the_store(trained, tmp_path):
+    _, _, store_path = trained
+    out = tmp_path / "keep"
+    out.mkdir()
+    shutil.copyfile(store_path, out / "store.jsonl")
+    before = (out / "store.jsonl").read_bytes()
+    argv = [
+        "train", "--dims", "2", "--instances", "1", "--train-seeds", "0",
+        "--n-param-sets", "2", "--budget", "1600", "--sigma", "50", "--out", str(out),
+    ]
+    assert cli.main(argv) == 1
+    assert (out / "store.jsonl").read_bytes() == before
+    assert os.listdir(out) == ["store.jsonl"]
+
+
+@pytest.mark.parametrize("command", ["compare", "features"])
+def test_empty_seeds_rejected_before_any_write(trained, tmp_path, command):
+    _, _, store_path = trained
+    out = tmp_path / "out"
+    argv = compare_argv(store_path, out, "literature", 1600)
+    argv[0] = command
+    argv[argv.index("--seeds") + 1] = "0"
+    assert cli.main(argv) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,flag,value",
+    [
+        ("compare", "--dims", "2,x"),
+        ("compare", "--dims", ","),
+        ("compare", "--seeds", "abc"),
+        ("compare", "--seeds", "1,y"),
+        ("train", "--train-seeds", "2.5"),
+        ("features", "--sigma", "50,z"),
+        ("train", "--sigma", ","),
+        ("recommend", "--beta", "a,b,c"),
+        ("recommend", "--beta", "1,2"),
+    ],
+)
+def test_cli_reports_malformed_flag_values(trained, tmp_path, capsys, command, flag, value):
+    _, _, store_path = trained
+    out = tmp_path / "out"
+    rest = ["--store", store_path] if command == "recommend" else ["--out", str(out)]
+    assert cli.main([command, flag, value, *rest]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+_small_configs = st.builds(
+    dict,
+    dims=st.sampled_from([(2,), (3,), (2, 3), ()]),
+    seeds=st.sampled_from([(0,), (5,), ()]),
+    methods=st.lists(
+        st.sampled_from(harness.METHOD_ORDER), min_size=1, max_size=4, unique=True
+    ).map(tuple),
+    budget=st.integers(400, 700),
+    sigma=st.integers(0, 100),
+    kappa=st.integers(1, 25),
+    retrain=st.sampled_from(["per-run", "per-batch"]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(overrides=_small_configs)
+def test_small_configs_run_or_fail_up_front(trained, overrides):
+    # any small config either runs with every row ok, or is rejected before
+    # any run with nothing written
+    _, _, store_path = trained
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        config = CampaignConfig(
+            suite="holdout", instances=1, out=out, store_path=store_path, **overrides
+        )
+        try:
+            report = cmd_compare(config)
+        except ContractError:
+            assert not os.path.exists(out)
+            return
+        assert report.n_failed == 0
+        assert report.alpha_rows
+        assert all(r["status"] == "ok" for r in read_rows(os.path.join(out, "alpha.csv")))

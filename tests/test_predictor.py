@@ -1,9 +1,13 @@
 import json
+import logging
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tuneseer import predictor
 from tuneseer.bench import ObjectiveSpec, make_instance, training_suite
@@ -117,9 +121,14 @@ def test_recommend_empty_store_rejected():
         recommend(TrainingStore(), 1, FeatureVector(2.0, 1.0, 0.0))
 
 
-def test_kappa_clamped_to_record_count():
+def test_kappa_clamped_to_record_count(caplog):
     store = TrainingStore([rec(0.3, 0.6, 30, (2.0, 1.0, 0.0), 1.0)])
-    params, cluster_idx = recommend(store, kappa=10, beta_new=FeatureVector(2.0, 1.0, 0.0))
+    with caplog.at_level(logging.WARNING):
+        params, cluster_idx = recommend(
+            store, kappa=10, beta_new=FeatureVector(2.0, 1.0, 0.0)
+        )
+    # the clamp has one owner, cluster.fit, and warns once
+    assert [r.name for r in caplog.records] == ["tuneseer.cluster"]
     assert cluster_idx == 0
     assert params.p3 == 30
 
@@ -170,6 +179,48 @@ def test_serialized_store_is_byte_prefix_of_grown_store(tmp_path):
     store.append([rec(0.5, 0.5, 50, (7.0, 1.0, 0.0), 9.0)])
     store.save(b)
     assert b.read_bytes().startswith(a.read_bytes())
+
+
+_floats = st.floats(allow_nan=False)
+_ints = st.integers(-(2**63), 2**63 - 1)
+_records = st.builds(
+    TrainingRecord,
+    params=st.builds(ControlParams, p1=_floats, p2=_floats, p3=_ints),
+    features=st.builds(FeatureVector, beta1=_floats, beta2=_floats, beta3=_floats),
+    alpha=_floats,
+    function_id=st.text(),
+    dim=_ints,
+    instance_seed=_ints,
+    run_seed=_ints,
+    sigma=_ints,
+    timestamp=st.text(),
+)
+
+
+class _Unwritable:
+    def to_json_line(self):
+        raise OSError("interrupted")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    old=st.lists(_records, max_size=6),
+    new=st.lists(_records, max_size=6),
+    cut=st.integers(0, 6),
+)
+def test_records_round_trip_and_survive_an_interrupted_save(old, new, cut):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "store.jsonl")
+        TrainingStore(old).save(path)
+        assert TrainingStore.load(path).records == old  # every field, exact
+        before = open(path, "rb").read()
+        broken = new[:cut] + [_Unwritable()] + new[cut:]
+        with pytest.raises(OSError, match="interrupted"):
+            TrainingStore(broken).save(path)
+        assert open(path, "rb").read() == before
+        assert os.listdir(tmp) == ["store.jsonl"]
+        TrainingStore(new).save(path)
+        assert TrainingStore.load(path).records == new
 
 
 def test_failed_save_leaves_previous_file_intact(tmp_path, monkeypatch):

@@ -104,25 +104,35 @@ def test_budget_below_population_rejected():
         optimize_shade(instance, RunConfig(99, 0))
 
 
-def test_frozen_memory_equals_shared_kernel_with_sampled_params():
-    # with adaptation off and memory pinned at 0.5, a run must equal the
-    # plain kernel driven by the same per-generation (CR, F) sampling
+def test_shade_equals_shared_kernel_with_memory_observer():
+    # a run must equal the plain kernel driven by memory sampling and an
+    # observer that folds each generation's successes into the memory
     spec = ObjectiveSpec("rosenbrock", 4)
     seed, budget = 21, 700
+    final = {}
 
-    a = optimize_shade(
-        make_instance(spec, 5), RunConfig(budget, seed), adapt=False
-    )
+    def keep(stats, memory):
+        final["memory"] = memory.snapshot()
 
-    memory = ShadeMemory()  # stays at 0.5 because nothing updates it
+    a = optimize_shade(make_instance(spec, 5), RunConfig(budget, seed), observer=keep)
+
+    memory = ShadeMemory()
     rng = substream(seed, "de")
 
     def sampler(r):
         return sample_memory_params(memory, shade.POP_SIZE, r)
 
-    b = de.evolve(make_instance(spec, 5), shade.POP_SIZE, budget, rng, sampler)
+    def update(stats):
+        sel = stats.successes
+        memory.update(stats.cr[sel], stats.f[sel], stats.deltas[sel])
+
+    b = de.evolve(make_instance(spec, 5), shade.POP_SIZE, budget, rng, sampler, update)
     assert a.generations == b.generations
     assert np.array_equal(a.final_population, b.final_population)
+    assert memory.write_index > 0  # the memory moved
+    assert np.array_equal(final["memory"].m_cr, memory.m_cr)
+    assert np.array_equal(final["memory"].m_f, memory.m_f)
+    assert final["memory"].write_index == memory.write_index
 
 
 def test_deterministic_runs():
