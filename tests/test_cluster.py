@@ -153,6 +153,15 @@ def test_scaler_standardizes():
     assert np.abs(z.std(axis=0) - 1.0).max() < 1e-12
 
 
+def test_scaler_round_trip():
+    # transform is undone exactly by the stored means and stds
+    rng = np.random.default_rng(1)
+    pts = rng.normal(loc=3.0, scale=[1.0, 50.0, 0.01], size=(30, 3))
+    scaler = FeatureScaler.fit(pts)
+    back = scaler.transform(pts) * scaler.stds + scaler.means
+    assert np.abs(back - pts).max() < 1e-12
+
+
 def test_scaler_handles_constant_feature():
     pts = np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
     scaler = FeatureScaler.fit(pts)
@@ -182,6 +191,15 @@ def test_kmeanspp_rejects_large_k():
     with pytest.raises(ContractError):
         kmeanspp_seed(pts, len(pts) + 1, make_rng(0))
     assert kmeanspp_seed(pts, len(pts), make_rng(0)).shape[0] == len(pts)
+
+
+def test_kmeanspp_clamps_large_k():
+    # fit seeds k-means++ with k clamped to n, so every point is a centroid
+    pts = two_triads()
+    model = fit(pts, 10, scale=False, restarts=1)
+    assert model.centroids.shape == pts.shape
+    assert sorted(map(tuple, model.centroids)) == sorted(map(tuple, pts))
+    assert model.inertia == 0.0
 
 
 def test_fit_clamps_large_k_with_one_warning(caplog):

@@ -104,6 +104,41 @@ def test_budget_below_population_rejected():
         optimize_shade(instance, RunConfig(99, 0))
 
 
+class _FlatObjective(_PlateauObjective):
+    """Constant objective: no trial is ever a strict improvement."""
+
+    def evaluate_batch(self, points):
+        self.eval_counter += points.shape[0]
+        return np.zeros(points.shape[0])
+
+
+def test_frozen_memory_equals_shared_kernel_with_sampled_params():
+    # on a flat objective nothing succeeds, so the memory stays at 0.5 and
+    # a run must equal the plain kernel driven by the same per-generation
+    # (CR, F) sampling from a memory that nothing updates
+    seed, budget = 21, 700
+    snaps = []
+
+    def keep(stats, memory):
+        snaps.append(memory.snapshot())
+
+    a = optimize_shade(_FlatObjective(4), RunConfig(budget, seed), observer=keep)
+
+    memory = ShadeMemory()
+    rng = substream(seed, "de")
+
+    def sampler(r):
+        return sample_memory_params(memory, shade.POP_SIZE, r)
+
+    b = de.evolve(_FlatObjective(4), shade.POP_SIZE, budget, rng, sampler)
+    assert a.generations == b.generations
+    assert np.array_equal(a.final_population, b.final_population)
+    assert snaps and all(
+        np.all(s.m_cr == 0.5) and np.all(s.m_f == 0.5) and s.write_index == 0
+        for s in snaps
+    )
+
+
 def test_shade_equals_shared_kernel_with_memory_observer():
     # a run must equal the plain kernel driven by memory sampling and an
     # observer that folds each generation's successes into the memory
