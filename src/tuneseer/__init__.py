@@ -30,7 +30,7 @@ from .predictor import (
 )
 from .sampling import latin_hypercube, lhs_params, make_rng, substream
 from .shade import ShadeMemory, optimize_shade
-from .stats import PairedSample, WilcoxonResult, wilcoxon
+from .stats import WilcoxonResult, wilcoxon
 
 __version__ = "0.1.0"
 
@@ -42,7 +42,6 @@ __all__ = [
     "FeatureVector",
     "ObjectiveInstance",
     "ObjectiveSpec",
-    "PairedSample",
     "PerformanceScore",
     "RunConfig",
     "RunTrace",

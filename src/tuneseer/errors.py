@@ -11,7 +11,3 @@ class UnknownFunctionError(ContractError):
 
 class NoDataError(ContractError):
     """An operation that needs training records was given an empty store."""
-
-
-class PairingError(ContractError):
-    """Paired comparison inputs do not share identical test keys."""

@@ -18,9 +18,9 @@ Failed runs are kept as explicit rows, never dropped silently.
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import json
+import numbers
 import os
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
@@ -40,13 +40,13 @@ from .errors import ContractError
 from .features import FeatureConfig, FeatureVector, extract_features
 from .metric import compute_alpha
 from .predictor import (
-    TrainingRecord,
     TrainingStore,
     build_training_set,
+    pool_map,
     run_predictive,
 )
 from .sampling import DEFAULT_PARAM_RANGES, ControlParams, derive_seed
-from .stats import PairedSample, wilcoxon
+from .stats import wilcoxon
 
 METHOD_LITERATURE = "literature"
 METHOD_BEST = "best-of-training"
@@ -75,6 +75,39 @@ ALPHA_COLUMNS = (
     "g_star",
     "status",
 )
+
+WILCOXON_COLUMNS = ("method_a", "method_b", "n", "W", "p")
+
+CURVE_COLUMNS = ("method", "instance_seed", "gen", "evals", "best")
+
+FEATURE_COLUMNS = (
+    "sigma",
+    "function_id",
+    "dim",
+    "instance_seed",
+    "seed",
+    "beta1",
+    "beta2",
+    "beta3",
+    "cluster",
+)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+# What each CampaignConfig key must hold; sigmas and store_path may be None.
+_CONFIG_TYPES = {
+    "an int": (_is_int, "instances budget sigma kappa n_param_sets workers campaign_seed"),
+    "a tuple of ints": (
+        lambda v: isinstance(v, (tuple, list)) and all(map(_is_int, v)),
+        "dims seeds train_seeds sigmas",
+    ),
+    "a tuple of method names": (lambda v: isinstance(v, (tuple, list)), "methods"),
+    "a bool": (lambda v: isinstance(v, bool), "feature_scaling paper_instances"),
+    "a str": (lambda v: isinstance(v, (str, os.PathLike)), "suite retrain out store_path"),
+}
 
 
 def default_out_dir() -> str:
@@ -105,6 +138,14 @@ class CampaignConfig:
     paper_instances: bool = False
 
     def validate(self) -> "CampaignConfig":
+        # a config file can hold any JSON value: name the key of a wrongly
+        # typed one before a check below trips over it
+        for what, (ok, keys) in _CONFIG_TYPES.items():
+            for key in keys.split():
+                value = getattr(self, key)
+                optional = value is None and key in ("sigmas", "store_path")
+                if not (ok(value) or optional):
+                    raise ContractError(f"{key} must be {what}, got {value!r}")
         if self.suite not in ("training", "holdout"):
             raise ContractError(f"suite must be training|holdout, got {self.suite!r}")
         if not self.methods:
@@ -201,6 +242,17 @@ def _require_seeds(seeds, name: str) -> None:
         raise ContractError(f"{name} must name at least one seed")
 
 
+def _test_keys(config: CampaignConfig, specs: list[ObjectiveSpec]) -> list:
+    """Every (spec, instance seed, seed) the comparison and feature commands
+    run, in output order."""
+    return [
+        (spec, inst, seed)
+        for spec in specs
+        for inst in config.compare_instance_seeds()
+        for seed in config.seeds
+    ]
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -268,8 +320,7 @@ def cmd_train(config: CampaignConfig) -> str:
 @dataclass(frozen=True)
 class _CompareItem:
     method: str
-    function_id: str
-    dim: int
+    spec: ObjectiveSpec
     instance_seed: int
     run_seed: int
     budget: int
@@ -278,19 +329,6 @@ class _CompareItem:
     params: Optional[ControlParams] = None  # fixed-parameter methods
     model: Optional[ClusterModel] = None  # predictive: the frozen model
     table: Optional[dict] = None  # and its recommendation table
-
-
-@dataclass(frozen=True)
-class _CompareResult:
-    key: tuple  # (function_id, dim, instance_seed, run_seed)
-    method: str
-    status: str
-    alpha: Optional[float] = None
-    evals: Optional[int] = None
-    g_star: Optional[int] = None
-    params: Optional[ControlParams] = None
-    record: Optional[TrainingRecord] = None  # predictive runs: the store record
-    curve: tuple = ()
 
 
 def _improvement_rows(trace: de.RunTrace) -> tuple:
@@ -303,11 +341,21 @@ def _improvement_rows(trace: de.RunTrace) -> tuple:
     return tuple(rows)
 
 
-def _run_compare_item(item: _CompareItem) -> _CompareResult:
-    key = (item.function_id, item.dim, item.instance_seed, item.run_seed)
+def _run_compare_item(item: _CompareItem) -> tuple:
+    """One run as ``(row, record, curve)``: its alpha.csv row, its store
+    record (predictive runs only) and its improvement-only curve.  A failed
+    run keeps its row, with every field but the test key, method and status
+    left empty."""
+    row = dict.fromkeys(ALPHA_COLUMNS)
+    row.update(
+        function_id=item.spec.function_id,
+        dim=item.spec.dimension,
+        instance_seed=item.instance_seed,
+        run_seed=item.run_seed,
+        method=item.method,
+    )
     try:
-        spec = ObjectiveSpec(item.function_id, item.dim)
-        instance = make_instance(spec, item.instance_seed)
+        instance = make_instance(item.spec, item.instance_seed)
         params, record = item.params, None
         if item.method == METHOD_PREDICTIVE:
             trace, score, record = run_predictive(
@@ -323,33 +371,32 @@ def _run_compare_item(item: _CompareItem) -> _CompareResult:
             else:
                 trace = de.optimize(instance, params, run_cfg)
             score = compute_alpha(trace)
-        return _CompareResult(
-            key=key,
-            method=item.method,
-            status="ok",
-            alpha=score.alpha,
-            evals=trace.evals_used,
-            g_star=score.g_star,
-            params=params,
-            record=record,
-            curve=_improvement_rows(trace),
-        )
+        curve = _improvement_rows(trace)
     except Exception as exc:  # failures become explicit report rows
-        return _CompareResult(key=key, method=item.method, status=f"failed: {exc}")
+        row["status"] = f"failed: {exc}"
+        return row, None, ()
+    if params is not None:
+        row.update(p1=params.p1, p2=params.p2, p3=params.p3)
+    row.update(
+        alpha=score.alpha, evals=trace.evals_used, g_star=score.g_star, status="ok"
+    )
+    return row, record, curve
 
 
-def _run_compare_items(items: list, workers: int) -> list:
-    if workers > 1 and len(items) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_compare_item, items, chunksize=4))
-    return [_run_compare_item(item) for item in items]
+def _row_order(row: dict) -> tuple:
+    return (
+        row["function_id"],
+        row["dim"],
+        row["instance_seed"],
+        row["run_seed"],
+        METHOD_ORDER.index(row["method"]),
+    )
 
 
 @dataclass
 class ComparisonReport:
     alpha_rows: list
     wilcoxon_rows: list
-    out_dir: str
     n_failed: int = 0
 
     def wilcoxon_for(self, method_a: str, method_b: str):
@@ -357,27 +404,6 @@ class ComparisonReport:
             if row["method_a"] == method_a and row["method_b"] == method_b:
                 return row
         raise KeyError((method_a, method_b))
-
-
-def _alpha_row(result: _CompareResult) -> dict:
-    fid, dim, inst, seed = result.key
-    p1 = p2 = p3 = None
-    if result.params is not None:
-        p1, p2, p3 = result.params.p1, result.params.p2, result.params.p3
-    return {
-        "function_id": fid,
-        "dim": dim,
-        "instance_seed": inst,
-        "run_seed": seed,
-        "method": result.method,
-        "p1": p1,
-        "p2": p2,
-        "p3": p3,
-        "alpha": result.alpha,
-        "evals": result.evals,
-        "g_star": result.g_star,
-        "status": result.status,
-    }
 
 
 def compute_wilcoxon_rows(alpha_rows: list, methods=None) -> list:
@@ -399,59 +425,46 @@ def compute_wilcoxon_rows(alpha_rows: list, methods=None) -> list:
     out = []
     for i, method_a in enumerate(present):
         for method_b in present[i + 1 :]:
-            keys = sorted(set(by_method[method_a]) & set(by_method[method_b]))
-            if not keys:
-                out.append(
-                    {
-                        "method_a": method_a,
-                        "method_b": method_b,
-                        "n": 0,
-                        "W": None,
-                        "p": None,
-                    }
-                )
-                continue
-            sample = PairedSample.from_score_maps(
-                {k: by_method[method_a][k] for k in keys},
-                {k: by_method[method_b][k] for k in keys},
-            )
-            result = wilcoxon(sample)
-            out.append(
-                {
-                    "method_a": method_a,
-                    "method_b": method_b,
-                    "n": result.n,
-                    "W": result.w,
-                    "p": result.p,
-                }
-            )
+            a, b = by_method[method_a], by_method[method_b]
+            keys = sorted(set(a) & set(b))
+            row = dict(zip(WILCOXON_COLUMNS, (method_a, method_b, len(keys), None, None)))
+            if keys:
+                result = wilcoxon(np.array([a[k] - b[k] for k in keys]))
+                row.update(W=result.w, p=result.p)
+            out.append(row)
     return out
 
 
+def _emit_wilcoxon(out_dir: str, wilcoxon_rows: list) -> None:
+    """Write wilcoxon.csv and print one line per method pair."""
+    _write_csv(os.path.join(out_dir, "wilcoxon.csv"), WILCOXON_COLUMNS, wilcoxon_rows)
+    for row in wilcoxon_rows:
+        print(
+            f"wilcoxon {row['method_a']} vs {row['method_b']}: "
+            f"n={row['n']} W={row['W']!r} p={row['p']!r}"
+        )
+
+
 def _write_curves(out_dir: str, results: list) -> None:
+    """One file per (function, dim, seed); ``results`` come in row order."""
     groups: dict[tuple, list] = {}
-    for res in results:
-        if not res.curve:
-            continue
-        fid, dim, inst, seed = res.key
-        groups.setdefault((fid, dim, seed), []).append(res)
+    for row, _, curve in results:
+        if curve:
+            key = (row["function_id"], row["dim"], row["run_seed"])
+            groups.setdefault(key, []).append((row, curve))
     curve_dir = os.path.join(out_dir, "curves")
     os.makedirs(curve_dir, exist_ok=True)
     for (fid, dim, seed), members in sorted(groups.items()):
         path = os.path.join(curve_dir, f"{fid}_{dim}_{seed}.csv")
-        rows = []
-        for res in sorted(members, key=lambda r: (METHOD_ORDER.index(r.method), r.key)):
-            for gen, evals, value in res.curve:
-                rows.append(
-                    {
-                        "method": res.method,
-                        "instance_seed": res.key[2],
-                        "gen": gen,
-                        "evals": evals,
-                        "best": value,
-                    }
-                )
-        _write_csv(path, ("method", "instance_seed", "gen", "evals", "best"), rows)
+        # method by method; the stable sort keeps each method's instances
+        # in row order
+        members.sort(key=lambda m: METHOD_ORDER.index(m[0]["method"]))
+        rows = [
+            dict(zip(CURVE_COLUMNS, (row["method"], row["instance_seed"], *point)))
+            for row, curve in members
+            for point in curve
+        ]
+        _write_csv(path, CURVE_COLUMNS, rows)
 
 
 def cmd_compare(config: CampaignConfig) -> ComparisonReport:
@@ -480,18 +493,12 @@ def cmd_compare(config: CampaignConfig) -> ComparisonReport:
             raise ContractError(f"training store {path} is empty")
     _require_budget(config, config.methods, store)
 
-    keys = [
-        (spec, inst, seed)
-        for spec in specs
-        for inst in config.compare_instance_seeds()
-        for seed in config.seeds
-    ]
+    keys = _test_keys(config, specs)
 
     def make_item(method, spec, inst, seed, **kw) -> _CompareItem:
         return _CompareItem(
             method=method,
-            function_id=spec.function_id,
-            dim=spec.dimension,
+            spec=spec,
             instance_seed=inst,
             run_seed=seed,
             budget=config.budget,
@@ -534,51 +541,32 @@ def cmd_compare(config: CampaignConfig) -> ComparisonReport:
         items += [
             make_item(METHOD_PREDICTIVE, *key, model=model, table=table) for key in batch
         ]
-        done = _run_compare_items(items, config.workers)
+        done = pool_map(_run_compare_item, items, config.workers, chunksize=4)
         items = []
         results.extend(done)
-        records = [res.record for res in done if res.record is not None]
+        records = [record for _, record, _ in done if record is not None]
         if records:
             store.append(records)
             if config.retrain == "per-run":
                 model, table = refit()
 
-    alpha_rows = sorted(
-        (_alpha_row(res) for res in results),
-        key=lambda r: (
-            r["function_id"],
-            r["dim"],
-            r["instance_seed"],
-            r["run_seed"],
-            METHOD_ORDER.index(r["method"]),
-        ),
-    )
+    results.sort(key=lambda res: _row_order(res[0]))
+    alpha_rows = [row for row, _, _ in results]
     wilcoxon_rows = compute_wilcoxon_rows(alpha_rows, methods=config.methods)
 
-    os.makedirs(config.out, exist_ok=True)
     _write_suite_json(config.out, specs)
     _write_csv(os.path.join(config.out, "alpha.csv"), ALPHA_COLUMNS, alpha_rows)
-    _write_csv(
-        os.path.join(config.out, "wilcoxon.csv"),
-        ("method_a", "method_b", "n", "W", "p"),
-        wilcoxon_rows,
-    )
     _write_curves(config.out, results)
-    if any(res.record is not None for res in results):
+    if any(record is not None for _, record, _ in results):
         store.save(os.path.join(config.out, "store_after_compare.jsonl"))
+    _emit_wilcoxon(config.out, wilcoxon_rows)
 
-    n_failed = sum(1 for r in results if r.status != "ok")
-    for row in wilcoxon_rows:
-        print(
-            f"wilcoxon {row['method_a']} vs {row['method_b']}: "
-            f"n={row['n']} W={row['W']!r} p={row['p']!r}"
-        )
+    n_failed = sum(1 for row in alpha_rows if row["status"] != "ok")
     if n_failed:
         print(f"WARNING: {n_failed} runs failed; see status column in alpha.csv")
     return ComparisonReport(
         alpha_rows=alpha_rows,
         wilcoxon_rows=wilcoxon_rows,
-        out_dir=config.out,
         n_failed=n_failed,
     )
 
@@ -593,64 +581,34 @@ def cmd_features(config: CampaignConfig) -> str:
     feature-space scatter)."""
     config.validate()
     _require_seeds(config.seeds, "seeds")
-    specs = config.suite_specs()
     sigmas = config.sigmas or (config.sigma,)
+    keys = _test_keys(config, config.suite_specs())
     rows = []
     for sigma in sigmas:
         group = []
-        for spec in specs:
-            for inst in config.compare_instance_seeds():
-                for seed in config.seeds:
-                    item_seed = derive_seed(
-                        config.campaign_seed,
-                        "features-cmd",
-                        spec.function_id,
-                        spec.dimension,
-                        inst,
-                        seed,
-                        sigma,
-                    )
-                    instance = make_instance(spec, inst)
-                    beta = extract_features(
-                        instance, FeatureConfig(sigma=sigma, seed=item_seed)
-                    )
-                    group.append(
-                        {
-                            "sigma": sigma,
-                            "function_id": spec.function_id,
-                            "dim": spec.dimension,
-                            "instance_seed": inst,
-                            "seed": seed,
-                            "beta1": beta.beta1,
-                            "beta2": beta.beta2,
-                            "beta3": beta.beta3,
-                        }
-                    )
-        points = np.array([[r["beta1"], r["beta2"], r["beta3"]] for r in group])
+        for spec, inst, seed in keys:
+            item_seed = derive_seed(
+                config.campaign_seed,
+                "features-cmd",
+                spec.function_id,
+                spec.dimension,
+                inst,
+                seed,
+                sigma,
+            )
+            beta = extract_features(
+                make_instance(spec, inst), FeatureConfig(sigma=sigma, seed=item_seed)
+            )
+            group.append((sigma, spec.function_id, spec.dimension, inst, seed, beta))
+        points = np.array([beta.as_array() for *_, beta in group])
         model = cluster.fit(
             points, config.kappa, seed=config.campaign_seed, scale=config.feature_scaling
         )
-        labels = model.classify_all(points)
-        for row, lab in zip(group, labels):
-            row["cluster"] = int(lab)
-        rows.extend(group)
-    os.makedirs(config.out, exist_ok=True)
+        for (*head, beta), label in zip(group, model.classify_all(points)):
+            values = (*head, beta.beta1, beta.beta2, beta.beta3, int(label))
+            rows.append(dict(zip(FEATURE_COLUMNS, values)))
     path = os.path.join(config.out, "features.csv")
-    _write_csv(
-        path,
-        (
-            "sigma",
-            "function_id",
-            "dim",
-            "instance_seed",
-            "seed",
-            "beta1",
-            "beta2",
-            "beta3",
-            "cluster",
-        ),
-        rows,
-    )
+    _write_csv(path, FEATURE_COLUMNS, rows)
     print(f"wrote {len(rows)} feature rows -> {path}")
     return path
 
@@ -699,25 +657,36 @@ def cmd_recommend(
 
 
 def read_alpha_csv(path: str) -> list:
+    """The rows of an alpha.csv as string dicts.  A missing column, a
+    non-integer dim or seed, or a non-numeric alpha on an ok row raises
+    ``ContractError`` naming the file and its 1-based line."""
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for raw in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        missing = [c for c in ALPHA_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ContractError(f"{path}:1: missing columns {missing}")
+        for raw in reader:
+            numeric = {"dim": int, "instance_seed": int, "run_seed": int}
+            if raw["status"] == "ok":
+                numeric["alpha"] = float
+            for column, kind in numeric.items():
+                try:
+                    kind(raw[column])
+                except (ValueError, TypeError) as exc:
+                    what = "an integer" if kind is int else "a number"
+                    raise ContractError(
+                        f"{path}:{reader.line_num}: {column} must be {what}, "
+                        f"got {raw[column]!r}"
+                    ) from exc
             rows.append(raw)
     return rows
 
 
 def cmd_report(out_dir: str) -> list:
     """Re-derive the method comparison table from a stored alpha.csv."""
-    alpha_path = os.path.join(out_dir, "alpha.csv")
-    if not os.path.exists(alpha_path):
-        raise FileNotFoundError(alpha_path)
-    rows = read_alpha_csv(alpha_path)
+    rows = read_alpha_csv(os.path.join(out_dir, "alpha.csv"))
     wilcoxon_rows = compute_wilcoxon_rows(rows)
-    _write_csv(
-        os.path.join(out_dir, "wilcoxon.csv"),
-        ("method_a", "method_b", "n", "W", "p"),
-        wilcoxon_rows,
-    )
     by_method: dict[str, list] = {}
     for row in rows:
         if row["status"] == "ok":
@@ -729,9 +698,5 @@ def cmd_report(out_dir: str) -> list:
                 f"{method}: n={len(vals)} mean_alpha={np.mean(vals):.6g} "
                 f"median_alpha={np.median(vals):.6g}"
             )
-    for row in wilcoxon_rows:
-        print(
-            f"wilcoxon {row['method_a']} vs {row['method_b']}: "
-            f"n={row['n']} W={row['W']!r} p={row['p']!r}"
-        )
+    _emit_wilcoxon(out_dir, wilcoxon_rows)
     return wilcoxon_rows

@@ -222,6 +222,34 @@ def recommend(
     return table[assigned], assigned
 
 
+def _featured_run(
+    instance, choose, sigma: int, budget: int, seed: int, run_seed: int
+) -> tuple[de.RunTrace, PerformanceScore, TrainingRecord]:
+    """Extract features from sigma evaluations, optimize with
+    ``choose(features)`` on the remaining budget, and score the combined
+    cost; the record stores ``run_seed``."""
+    if budget <= sigma:
+        raise ContractError(f"budget {budget} must exceed sigma {sigma}")
+    beta = extract_features(instance, FeatureConfig(sigma=sigma, seed=seed))
+    params = choose(beta)
+    trace = de.optimize(
+        instance, params, de.RunConfig(budget=budget - sigma, seed=seed)
+    )
+    score = compute_alpha(trace)
+    record = TrainingRecord(
+        params=params,
+        features=beta,
+        alpha=score.alpha,
+        function_id=instance.spec.function_id,
+        dim=instance.dimension,
+        instance_seed=instance.instance_seed,
+        run_seed=run_seed,
+        sigma=sigma,
+        timestamp=_utc_now(),
+    )
+    return trace, score, record
+
+
 @dataclass(frozen=True)
 class _TrainingItem:
     spec: ObjectiveSpec
@@ -235,26 +263,20 @@ class _TrainingItem:
 
 def _run_training_item(item: _TrainingItem) -> TrainingRecord:
     instance = make_instance(item.spec, item.instance_seed)
-    beta = extract_features(
-        instance, FeatureConfig(sigma=item.sigma, seed=item.item_seed)
+    _, _, record = _featured_run(
+        instance, lambda _: item.params, item.sigma, item.budget,
+        seed=item.item_seed, run_seed=item.run_seed,
     )
-    trace = de.optimize(
-        instance,
-        item.params,
-        de.RunConfig(budget=item.budget - item.sigma, seed=item.item_seed),
-    )
-    score = compute_alpha(trace)
-    return TrainingRecord(
-        params=item.params,
-        features=beta,
-        alpha=score.alpha,
-        function_id=item.spec.function_id,
-        dim=item.spec.dimension,
-        instance_seed=item.instance_seed,
-        run_seed=item.run_seed,
-        sigma=item.sigma,
-        timestamp=_utc_now(),
-    )
+    return record
+
+
+def pool_map(fn, items: list, workers: int, chunksize: int) -> list:
+    """``fn`` over ``items``, results in item order; a process pool serves
+    only when there is more than one worker and more than one item."""
+    if workers > 1 and len(items) > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items, chunksize=chunksize))
+    return [fn(item) for item in items]
 
 
 def build_training_set(
@@ -306,12 +328,7 @@ def build_training_set(
                             ),
                         )
                     )
-    if workers > 1 and len(items) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_training_item, items, chunksize=8))
-    else:
-        records = [_run_training_item(item) for item in items]
-    return TrainingStore(records)
+    return TrainingStore(pool_map(_run_training_item, items, workers, chunksize=8))
 
 
 def run_predictive(
@@ -330,23 +347,7 @@ def run_predictive(
     the combined cost.  ``(model, table)`` is what ``recommendation_table``
     returns; the record stores ``seed`` as its run seed.
     """
-    if budget <= sigma:
-        raise ContractError(f"budget {budget} must exceed sigma {sigma}")
-    beta = extract_features(instance, FeatureConfig(sigma=sigma, seed=seed))
-    params = table[model.classify(beta.as_array())]
-    trace = de.optimize(
-        instance, params, de.RunConfig(budget=budget - sigma, seed=seed)
-    )
-    score = compute_alpha(trace)
-    record = TrainingRecord(
-        params=params,
-        features=beta,
-        alpha=score.alpha,
-        function_id=instance.spec.function_id,
-        dim=instance.dimension,
-        instance_seed=instance.instance_seed,
-        run_seed=seed,
-        sigma=sigma,
-        timestamp=_utc_now(),
-    )
-    return trace, score, record
+    def choose(beta: FeatureVector) -> ControlParams:
+        return table[model.classify(beta.as_array())]
+
+    return _featured_run(instance, choose, sigma, budget, seed=seed, run_seed=seed)

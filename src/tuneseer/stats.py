@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
-from .errors import ContractError, PairingError
+from .errors import ContractError
 
 EXACT_MAX_N = 20
 
@@ -36,33 +35,6 @@ def rankdata(values: np.ndarray) -> np.ndarray:
     # a tie group holding sorted positions [start, end) shares (start+1+end)/2
     ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)
     return ranks
-
-
-@dataclass(frozen=True)
-class PairedSample:
-    """Per-test score differences (method A - method B), matched by
-    identical test keys."""
-
-    differences: np.ndarray
-
-    @classmethod
-    def from_score_maps(
-        cls, scores_a: Mapping, scores_b: Mapping
-    ) -> "PairedSample":
-        if set(scores_a) != set(scores_b):
-            only_a = sorted(set(scores_a) - set(scores_b))[:3]
-            only_b = sorted(set(scores_b) - set(scores_a))[:3]
-            raise PairingError(
-                f"test keys differ between methods (a-only {only_a}, b-only {only_b})"
-            )
-        keys = sorted(scores_a)
-        return cls(
-            differences=np.array([scores_a[k] - scores_b[k] for k in keys])
-        )
-
-    @property
-    def n(self) -> int:
-        return self.differences.size
 
 
 @dataclass(frozen=True)
@@ -98,8 +70,6 @@ def wilcoxon(diffs, method: str = "auto") -> WilcoxonResult:
     ``method`` forces the p-value route: "exact" (enumeration; requires no
     zeros and n <= 30), "normal", or "auto" (exact for n <= 20 without
     zeros)."""
-    if isinstance(diffs, PairedSample):
-        diffs = diffs.differences
     d = np.asarray(diffs, dtype=float)
     if d.ndim != 1 or d.size == 0:
         raise ContractError("wilcoxon needs a non-empty 1-D difference vector")

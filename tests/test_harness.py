@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import shutil
@@ -6,13 +7,16 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tuneseer import cli, harness
-from tuneseer.bench import ObjectiveInstance
+import tuneseer
+from tuneseer import cli, cluster, harness
+from tuneseer.bench import ObjectiveInstance, make_instance
 from tuneseer.errors import ContractError
+from tuneseer.features import FeatureConfig, extract_features
 from tuneseer.harness import (
     CampaignConfig,
     ComparisonReport,
@@ -24,6 +28,8 @@ from tuneseer.harness import (
     compute_wilcoxon_rows,
 )
 from tuneseer.predictor import TrainingStore, recommend
+from tuneseer.sampling import derive_seed
+from tuneseer.stats import wilcoxon
 
 # budget must cover sigma plus the largest admissible population (500)
 TINY = dict(
@@ -177,6 +183,63 @@ def test_self_comparison_is_null():
     assert out[0]["p"] == 1.0
 
 
+def test_wilcoxon_rows_pair_only_keys_ok_for_both_methods():
+    # keys in shuffled order, with string fields as read back from alpha.csv,
+    # so pairing must parse the key and sort it (dim 10 after dim 2)
+    keys = [
+        ("sphere", "10", "1", "0"),
+        ("ackley", "2", "1", "1"),
+        ("sphere", "2", "1", "1"),
+        ("ackley", "2", "1", "0"),
+        ("sphere", "2", "1", "0"),
+        ("sphere", "10", "1", "1"),
+    ]
+    failed = {
+        "predictive": {0, 1},
+        "literature": {2},
+        "shade": {2, 3, 4, 5},  # ok only where predictive failed
+    }
+    alpha = {}
+    rows = []
+    for m, method in enumerate(("predictive", "literature", "shade")):
+        for k, (fid, dim, inst, seed) in enumerate(keys):
+            ok = k not in failed[method]
+            alpha[method, k] = 0.1 * (k + 1) + 0.37 * m * (-1) ** k
+            rows.append(
+                {
+                    "function_id": fid,
+                    "dim": dim,
+                    "instance_seed": inst,
+                    "run_seed": seed,
+                    "method": method,
+                    "alpha": repr(alpha[method, k]) if ok else "",
+                    "status": "ok" if ok else "failed: boom",
+                }
+            )
+
+    def expected(a, b):
+        shared = [k for k in range(len(keys)) if k not in failed[a] | failed[b]]
+        shared.sort(key=lambda k: (keys[k][0], *map(int, keys[k][1:])))
+        return wilcoxon(np.array([alpha[a, k] - alpha[b, k] for k in shared]))
+
+    out = {(r["method_a"], r["method_b"]): r for r in compute_wilcoxon_rows(rows)}
+    assert list(out) == [
+        ("predictive", "shade"),
+        ("predictive", "literature"),
+        ("shade", "literature"),
+    ]
+    for pair, n in ((("predictive", "literature"), 3), (("shade", "literature"), 2)):
+        want = expected(*pair)
+        assert (out[pair]["n"], out[pair]["W"], out[pair]["p"]) == (n, want.w, want.p)
+    assert out["predictive", "shade"] == {
+        "method_a": "predictive",
+        "method_b": "shade",
+        "n": 0,
+        "W": None,
+        "p": None,
+    }
+
+
 def test_cmd_features(trained):
     out, _, _ = trained
     config = train_config(
@@ -190,6 +253,36 @@ def test_cmd_features(trained):
     for r in rows:
         assert 0 <= int(r["cluster"]) < 3
         assert float(r["beta1"]) == 2.0
+    # every row recomputed from its own seed, clustered per sigma, in order
+    want = []
+    for sigma in config.sigmas:
+        group = []
+        for spec in config.suite_specs():
+            for inst in config.compare_instance_seeds():
+                for seed in config.seeds:
+                    item_seed = derive_seed(
+                        config.campaign_seed,
+                        "features-cmd",
+                        spec.function_id,
+                        spec.dimension,
+                        inst,
+                        seed,
+                        sigma,
+                    )
+                    instance = make_instance(spec, inst)
+                    beta = extract_features(
+                        instance, FeatureConfig(sigma=sigma, seed=item_seed)
+                    )
+                    head = (sigma, spec.function_id, spec.dimension, inst, seed)
+                    group.append((head, beta))
+        points = np.array([beta.as_array() for _, beta in group])
+        model = cluster.fit(
+            points, config.kappa, seed=config.campaign_seed, scale=config.feature_scaling
+        )
+        for (head, beta), label in zip(group, model.classify_all(points)):
+            betas = (repr(beta.beta1), repr(beta.beta2), repr(beta.beta3))
+            want.append([*map(str, head), *betas, str(label)])
+    assert [list(r.values()) for r in rows] == want
 
 
 def test_cmd_recommend_with_explicit_beta(trained, capsys):
@@ -212,6 +305,70 @@ def test_cmd_report_rederives_wilcoxon(trained):
     after = read_rows(os.path.join(cmp_dir, "wilcoxon.csv"))
     assert before == after
     assert len(rows) == len(before)
+
+
+def _write_alpha_csv(path, columns, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
+# function_id, dim, instance_seed, run_seed, method, p1, p2, p3, alpha, evals,
+# g_star, status; the report reads back lines 2-7
+_GOOD_ALPHA_ROWS = [
+    ["sphere", "2", "101", str(seed), method, "", "", "", repr(0.1 * seed + m)]
+    + ["900", "3", "ok"]
+    for seed in range(3)
+    for m, method in enumerate(("predictive", "literature"))
+]
+
+
+@pytest.mark.parametrize(
+    "line,column,value,message",
+    [
+        (2, "dim", "two", "dim must be an integer, got 'two'"),
+        (3, "instance_seed", "1.5", "instance_seed must be an integer"),
+        (7, "run_seed", "", "run_seed must be an integer, got ''"),
+        (4, "alpha", "fast", "alpha must be a number, got 'fast'"),
+        (5, "run_seed", None, "run_seed must be an integer, got None"),  # a short row
+    ],
+)
+def test_report_names_line_of_malformed_alpha_csv(
+    tmp_path, capsys, line, column, value, message
+):
+    rows = [list(r) for r in _GOOD_ALPHA_ROWS]
+    index = harness.ALPHA_COLUMNS.index(column)
+    if value is None:
+        del rows[line - 2][index:]
+    else:
+        rows[line - 2][index] = value
+    path = tmp_path / "alpha.csv"
+    _write_alpha_csv(path, harness.ALPHA_COLUMNS, rows)
+    assert cli.main(["report", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:{line}: {message}")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "wilcoxon.csv").exists()
+
+
+def test_report_rejects_alpha_csv_without_a_column(tmp_path, capsys):
+    index = harness.ALPHA_COLUMNS.index("run_seed")
+    columns = [c for c in harness.ALPHA_COLUMNS if c != "run_seed"]
+    rows = [r[:index] + r[index + 1 :] for r in _GOOD_ALPHA_ROWS]
+    _write_alpha_csv(tmp_path / "alpha.csv", columns, rows)
+    assert cli.main(["report", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {tmp_path / 'alpha.csv'}:1: missing columns ['run_seed']\n"
+    assert not (tmp_path / "wilcoxon.csv").exists()
+
+
+def test_report_accepts_failed_rows_without_alpha(tmp_path):
+    rows = [list(r) for r in _GOOD_ALPHA_ROWS]
+    rows[0][8:] = ["", "", "", "failed: boom"]
+    _write_alpha_csv(tmp_path / "alpha.csv", harness.ALPHA_COLUMNS, rows)
+    (pair,) = cmd_report(str(tmp_path))
+    assert pair["n"] == 2
 
 
 def test_cli_exit_codes(trained, tmp_path):
@@ -247,6 +404,50 @@ def test_cli_config_file_with_flag_override(tmp_path):
     assert code == 0
     assert os.path.exists(tmp_path / "b" / "store.jsonl")
     assert not os.path.exists(tmp_path / "a" / "store.jsonl")
+
+
+@pytest.mark.parametrize(
+    "command,key,value",
+    [
+        ("compare", "seeds", 3),  # a count is a CLI spelling, not a config value
+        ("train", "dims", 2),
+        ("train", "budget", "900"),
+        ("train", "budget", True),
+        ("compare", "methods", "literature"),
+        ("features", "sigmas", [10, 1.5]),
+        ("train", "feature_scaling", "no"),
+        ("compare", "retrain", 1),
+    ],
+)
+def test_cli_config_file_type_errors(tmp_path, capsys, command, key, value):
+    out = tmp_path / "out"
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({key: value, "out": str(out)}))
+    assert cli.main([command, "--config", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_every_config_key_has_a_checked_type():
+    typed = [k for _, keys in harness._CONFIG_TYPES.values() for k in keys.split()]
+    assert sorted(typed) == sorted(f.name for f in dataclasses.fields(CampaignConfig))
+
+
+def test_cli_import_loads_neither_scipy_nor_multiprocessing():
+    src = os.path.dirname(os.path.dirname(tuneseer.__file__))
+    probe = (
+        "import sys, tuneseer.cli; "
+        "print(sorted(m for m in ('scipy', 'multiprocessing') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cli_module_entrypoint(tmp_path):

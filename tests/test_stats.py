@@ -7,8 +7,8 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tuneseer.errors import ContractError, PairingError
-from tuneseer.stats import PairedSample, rankdata, wilcoxon
+from tuneseer.errors import ContractError
+from tuneseer.stats import rankdata, wilcoxon
 
 
 def oracle_ranks(abs_d):
@@ -139,14 +139,6 @@ def test_normal_approximation_close_to_exact():
 def test_empty_input_rejected():
     with pytest.raises(ContractError):
         wilcoxon([])
-
-
-def test_paired_sample_requires_matching_keys():
-    with pytest.raises(PairingError):
-        PairedSample.from_score_maps({"a": 1.0}, {"b": 1.0})
-    sample = PairedSample.from_score_maps({"a": 3.0, "b": 1.0}, {"a": 1.0, "b": 2.0})
-    assert sample.n == 2
-    assert np.array_equal(sample.differences, [2.0, -1.0])
 
 
 @settings(max_examples=80, deadline=None)
