@@ -65,10 +65,6 @@ class SearchDomain:
     def dimension(self) -> int:
         return self.lower.size
 
-    @property
-    def midpoint(self) -> np.ndarray:
-        return 0.5 * (self.lower + self.upper)
-
 
 def domain_for(dimension: int) -> SearchDomain:
     return SearchDomain(
@@ -242,7 +238,6 @@ def _weierstrass(z: np.ndarray) -> np.ndarray:
 class BenchFunction:
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
-    group: str
     # optimum location of the *base* function (pre-instancing); None = origin
     optimum_fn: Callable[[int], np.ndarray] | None = None
 
@@ -263,29 +258,26 @@ def _with_floor(fn: Callable[[np.ndarray], np.ndarray]):
 REGISTRY: dict[str, BenchFunction] = {
     f.name: f
     for f in [
-        BenchFunction("sphere", _sphere, "separable unimodal"),
-        BenchFunction("ellipsoid", _ellipsoid, "separable unimodal"),
-        BenchFunction("rotated_ellipsoid", _rotated_ellipsoid, "high conditioning"),
-        BenchFunction("sharp_ridge", _sharp_ridge, "high conditioning"),
-        BenchFunction("rastrigin", _rastrigin, "multimodal strong structure"),
-        BenchFunction("griewank", _griewank, "multimodal strong structure"),
-        BenchFunction("ackley", _ackley, "multimodal strong structure"),
-        BenchFunction("schwefel", _schwefel, "multimodal weak structure"),
-        BenchFunction("step", _step, "plateau"),
-        BenchFunction("rosenbrock", _rosenbrock, "asymmetric valley", np.ones),
-        BenchFunction("discus_steep", _with_floor(_discus_steep), "high conditioning"),
-        BenchFunction("tablet", _with_floor(_tablet), "high conditioning"),
-        BenchFunction("ridge_rotated", _with_floor(_ridge_rotated), "high conditioning"),
+        BenchFunction("sphere", _sphere),
+        BenchFunction("ellipsoid", _ellipsoid),
+        BenchFunction("rotated_ellipsoid", _rotated_ellipsoid),
+        BenchFunction("sharp_ridge", _sharp_ridge),
+        BenchFunction("rastrigin", _rastrigin),
+        BenchFunction("griewank", _griewank),
+        BenchFunction("ackley", _ackley),
+        BenchFunction("schwefel", _schwefel),
+        BenchFunction("step", _step),
+        BenchFunction("rosenbrock", _rosenbrock, np.ones),
+        BenchFunction("discus_steep", _with_floor(_discus_steep)),
+        BenchFunction("tablet", _with_floor(_tablet)),
+        BenchFunction("ridge_rotated", _with_floor(_ridge_rotated)),
         BenchFunction(
             "rosenbrock_rotated",
             _with_floor(_rosenbrock_rotated),
-            "asymmetric valley",
             lambda d: _intrinsic_rotation("rosenbrock_rotated", d).T @ np.ones(d),
         ),
-        BenchFunction("different_powers", _with_floor(_different_powers), "unimodal"),
-        BenchFunction(
-            "weierstrass", _with_floor(_weierstrass), "multimodal weak structure"
-        ),
+        BenchFunction("different_powers", _with_floor(_different_powers)),
+        BenchFunction("weierstrass", _with_floor(_weierstrass)),
     ]
 }
 
@@ -376,14 +368,6 @@ class ObjectiveInstance:
         base_opt = self._base.optimum_location(self.dimension)
         return self.shift + self.rotation.T @ base_opt
 
-    def evaluate(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dimension,):
-            raise ContractError(
-                f"expected point of dimension {self.dimension}, got shape {x.shape}"
-            )
-        return float(self.evaluate_batch(x[None])[0])
-
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
         """Evaluate an (n, D) batch; charges n evaluations to the counter."""
         points = np.asarray(points, dtype=float)
@@ -427,8 +411,8 @@ def holdout_suite(dims=PRESET_DIMENSIONS) -> list[ObjectiveSpec]:
 
 
 def suite_listing(suite: list[ObjectiveSpec]) -> list[dict]:
-    """JSON-ready listing of (function_id, D, domain) used for config
-    validation by the campaign harness."""
+    """JSON-ready listing of (function_id, D, domain): the record of which
+    functions a campaign ran, written as suite.json beside its outputs."""
     out = []
     for spec in suite:
         dom = spec.domain

@@ -226,10 +226,6 @@ def evolve(
 def optimize(instance, params: ControlParams, cfg: RunConfig) -> RunTrace:
     """Fixed-parameter DE run; deterministic given (instance, params, seed)."""
     params.validate()
-    if cfg.budget < params.p3:
-        raise ContractError(
-            f"budget {cfg.budget} is below one generation of p3={params.p3}"
-        )
     rng = substream(cfg.seed, "de")
     cr = np.full(params.p3, params.p1)
     f = np.full(params.p3, params.p2)

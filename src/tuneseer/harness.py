@@ -153,8 +153,11 @@ class CampaignConfig:
         for m in self.methods:
             if m not in METHOD_ORDER:
                 raise ContractError(f"unknown method {m!r}")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ContractError("seeds must be pairwise distinct")
+        # a repeat would run a key twice, or count its runs twice
+        for key in ("dims", "seeds", "train_seeds", "sigmas", "methods"):
+            values = getattr(self, key) or ()
+            if len(set(values)) != len(values):
+                raise ContractError(f"{key} must hold distinct values, got {values!r}")
         if self.retrain not in ("per-run", "per-batch"):
             raise ContractError(f"retrain must be per-run|per-batch, got {self.retrain!r}")
         if not self.dims or min(self.dims) < 2:
@@ -165,6 +168,8 @@ class CampaignConfig:
             raise ContractError(f"kappa must be >= 1, got {self.kappa}")
         if self.workers < 1:
             raise ContractError(f"workers must be >= 1, got {self.workers}")
+        if self.campaign_seed < 0:
+            raise ContractError(f"campaign_seed must be >= 0, got {self.campaign_seed}")
         for sigma in (self.sigma, *(self.sigmas or ())):
             if sigma < 2:
                 raise ContractError(f"sigma must be >= 2, got {sigma}")
@@ -406,7 +411,7 @@ class ComparisonReport:
         raise KeyError((method_a, method_b))
 
 
-def compute_wilcoxon_rows(alpha_rows: list, methods=None) -> list:
+def compute_wilcoxon_rows(alpha_rows: list) -> list:
     """Pairwise signed-rank tests over rows sharing identical test keys."""
     by_method: dict[str, dict] = {}
     for row in alpha_rows:
@@ -420,8 +425,6 @@ def compute_wilcoxon_rows(alpha_rows: list, methods=None) -> list:
         )
         by_method.setdefault(row["method"], {})[key] = float(row["alpha"])
     present = [m for m in METHOD_ORDER if m in by_method]
-    if methods is not None:
-        present = [m for m in present if m in methods]
     out = []
     for i, method_a in enumerate(present):
         for method_b in present[i + 1 :]:
@@ -552,7 +555,7 @@ def cmd_compare(config: CampaignConfig) -> ComparisonReport:
 
     results.sort(key=lambda res: _row_order(res[0]))
     alpha_rows = [row for row, _, _ in results]
-    wilcoxon_rows = compute_wilcoxon_rows(alpha_rows, methods=config.methods)
+    wilcoxon_rows = compute_wilcoxon_rows(alpha_rows)
 
     _write_suite_json(config.out, specs)
     _write_csv(os.path.join(config.out, "alpha.csv"), ALPHA_COLUMNS, alpha_rows)
@@ -658,15 +661,18 @@ def cmd_recommend(
 
 def read_alpha_csv(path: str) -> list:
     """The rows of an alpha.csv as string dicts.  A missing column, a
-    non-integer dim or seed, or a non-numeric alpha on an ok row raises
+    non-integer dim or seed, a non-numeric alpha on an ok row, an unknown
+    method, or a second row for the same test key and method raises
     ``ContractError`` naming the file and its 1-based line."""
     rows = []
+    seen = set()
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in ALPHA_COLUMNS if c not in (reader.fieldnames or ())]
         if missing:
             raise ContractError(f"{path}:1: missing columns {missing}")
         for raw in reader:
+            where = f"{path}:{reader.line_num}"
             numeric = {"dim": int, "instance_seed": int, "run_seed": int}
             if raw["status"] == "ok":
                 numeric["alpha"] = float
@@ -676,9 +682,18 @@ def read_alpha_csv(path: str) -> list:
                 except (ValueError, TypeError) as exc:
                     what = "an integer" if kind is int else "a number"
                     raise ContractError(
-                        f"{path}:{reader.line_num}: {column} must be {what}, "
-                        f"got {raw[column]!r}"
+                        f"{where}: {column} must be {what}, got {raw[column]!r}"
                     ) from exc
+            if raw["method"] not in METHOD_ORDER:
+                raise ContractError(f"{where}: unknown method {raw['method']!r}")
+            key = (
+                raw["function_id"],
+                *(int(raw[c]) for c in ("dim", "instance_seed", "run_seed")),
+                raw["method"],
+            )
+            if key in seen:
+                raise ContractError(f"{where}: repeated test key and method {key}")
+            seen.add(key)
             rows.append(raw)
     return rows
 

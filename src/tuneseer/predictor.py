@@ -162,10 +162,8 @@ def top_set_size(m: int) -> int:
 def fit_model(
     features: np.ndarray, kappa: int, seed: int = 0, scale: bool = True
 ) -> cluster.ClusterModel:
-    """Cluster the (n, 3) stored feature rows; ``cluster.fit`` clamps a
-    kappa above the record count."""
-    if len(features) == 0:
-        raise NoDataError("cannot fit a cluster model on an empty store")
+    """Cluster the (n, 3) stored feature rows; ``cluster.fit`` owns the
+    checks on kappa and clamps a kappa above the record count."""
     return cluster.fit(features, kappa, seed=seed, scale=scale)
 
 
@@ -188,8 +186,6 @@ def recommendation_table(
     records by score."""
     if not store.records:
         raise NoDataError("cannot recommend from an empty store")
-    if kappa < 1:
-        raise ContractError(f"kappa must be >= 1, got {kappa}")
     features = store.features_array()
     model = fit_model(features, kappa, seed=seed, scale=scale)
     labels = model.classify_all(features)
@@ -298,8 +294,6 @@ def build_training_set(
     """
     if not suite:
         raise ContractError("suite must not be empty")
-    if budget <= sigma:
-        raise ContractError(f"budget {budget} must exceed sigma {sigma}")
     items = []
     for spec in suite:
         design_rng = substream(

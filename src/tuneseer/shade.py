@@ -28,7 +28,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .de import GenerationStats, RunConfig, RunTrace, evolve
-from .errors import ContractError
 from .sampling import substream
 
 POP_SIZE = 100
@@ -92,10 +91,6 @@ def optimize_shade(
     ``observer`` sees each generation's selection stats and the memory
     state after any update.
     """
-    if cfg.budget < pop_size:
-        raise ContractError(
-            f"budget {cfg.budget} is below one generation of size {pop_size}"
-        )
     rng = substream(cfg.seed, "de")
     memory = ShadeMemory()
 

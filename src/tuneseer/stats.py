@@ -64,17 +64,12 @@ def _exact_p(ranks2: np.ndarray, hi2: int, lo2: int, n: int) -> float:
     return min(1.0, float(tail) / float(2**n))
 
 
-def wilcoxon(diffs, method: str = "auto") -> WilcoxonResult:
-    """Signed-rank test of paired differences; see module docstring.
-
-    ``method`` forces the p-value route: "exact" (enumeration; requires no
-    zeros and n <= 30), "normal", or "auto" (exact for n <= 20 without
-    zeros)."""
+def wilcoxon(diffs) -> WilcoxonResult:
+    """Signed-rank test of paired differences; the input picks the p-value
+    route (see module docstring), and ``method`` of the result names it."""
     d = np.asarray(diffs, dtype=float)
     if d.ndim != 1 or d.size == 0:
         raise ContractError("wilcoxon needs a non-empty 1-D difference vector")
-    if method not in ("auto", "exact", "normal"):
-        raise ContractError(f"unknown method {method!r}")
     n = d.size
     ranks = rankdata(np.abs(d))
     r_zero = float(ranks[d == 0.0].sum())
@@ -85,17 +80,7 @@ def wilcoxon(diffs, method: str = "auto") -> WilcoxonResult:
     if np.all(d == 0.0):
         return WilcoxonResult(0.0, 1.0, r_plus, r_minus, n, "degenerate")
 
-    n_zero = int(np.sum(d == 0.0))
-    use_exact = (
-        method == "exact"
-        if method != "auto"
-        else (n <= EXACT_MAX_N and n_zero == 0)
-    )
-    if use_exact:
-        if n_zero:
-            raise ContractError("exact enumeration is defined without zeros")
-        if n > 30:
-            raise ContractError(f"exact enumeration limited to n <= 30, got {n}")
+    if n <= EXACT_MAX_N and not np.any(d == 0.0):
         ranks2 = np.rint(2.0 * ranks).astype(np.int64)
         hi2 = int(round(2.0 * max(r_plus, r_minus)))
         lo2 = int(round(2.0 * min(r_plus, r_minus)))

@@ -10,7 +10,6 @@ from tuneseer.bench import (
     HOLDOUT_VALUE_OFFSET,
     REGISTRY,
     TRAINING_FUNCTIONS,
-    ObjectiveInstance,
     ObjectiveSpec,
     holdout_suite,
     make_instance,
@@ -28,16 +27,16 @@ def test_identity_instance_has_no_transform():
 
 def test_known_values_identity():
     sphere = make_instance(ObjectiveSpec("sphere", 3), 0)
-    assert sphere.evaluate([1.0, 1.0, 1.0]) == 3.0
+    assert sphere.evaluate_batch([[1.0, 1.0, 1.0]])[0] == 3.0
     rastrigin = make_instance(ObjectiveSpec("rastrigin", 4), 0)
-    assert rastrigin.evaluate(np.zeros(4)) == 0.0
+    assert rastrigin.evaluate_batch(np.zeros((1, 4)))[0] == 0.0
     rosenbrock = make_instance(ObjectiveSpec("rosenbrock", 2), 0)
-    assert rosenbrock.evaluate([1.0, 1.0]) == 0.0
+    assert rosenbrock.evaluate_batch([[1.0, 1.0]])[0] == 0.0
 
 
 def test_shifted_instance_attains_optimum_at_shift():
     inst = make_instance(ObjectiveSpec("sphere", 3), 7)
-    assert inst.evaluate(inst.shift) == 0.0
+    assert inst.evaluate_batch(inst.shift[None])[0] == 0.0
 
 
 def test_instances_are_deterministic():
@@ -65,8 +64,10 @@ def test_negative_instance_seed_rejected():
 
 def test_dimension_mismatch_rejected():
     inst = make_instance(ObjectiveSpec("sphere", 3), 0)
-    with pytest.raises(ContractError):
-        inst.evaluate([1.0, 2.0])
+    for points in (np.zeros((1, 2)), np.zeros(3), np.zeros((1, 3, 1))):
+        with pytest.raises(ContractError):
+            inst.evaluate_batch(points)
+    assert inst.eval_counter == 0
 
 
 def test_rotation_is_orthogonal():
@@ -85,7 +86,7 @@ def test_shift_strictly_inside_domain():
 
 @pytest.mark.parametrize("fid", sorted(REGISTRY))
 def test_instancing_invariance(fid):
-    # evaluate(shift + R^T y) must equal base(y) for random y
+    # f(shift + R^T y) must equal base(y) for random y
     d = 6
     inst = make_instance(ObjectiveSpec(fid, d), 11)
     base = REGISTRY[fid]
@@ -102,7 +103,7 @@ def test_optimum_value_attained(fid):
     # base optimum value 0 is attained at the instance's optimum location
     for seed in (0, 3):
         inst = make_instance(ObjectiveSpec(fid, 5), seed)
-        assert abs(inst.evaluate(inst.optimum_location)) < 1e-9
+        assert abs(inst.evaluate_batch(inst.optimum_location[None])[0]) < 1e-9
 
 
 @pytest.mark.parametrize("fid", sorted(REGISTRY))
@@ -130,34 +131,9 @@ def test_base_nonnegative_on_rotation_reach(fid):
 def test_eval_counter_exactness():
     inst = make_instance(ObjectiveSpec("sphere", 2), 1)
     for _ in range(7):
-        inst.evaluate([0.0, 0.0])
+        inst.evaluate_batch(np.zeros((1, 2)))
     inst.evaluate_batch(np.zeros((5, 2)))
     assert inst.eval_counter == 12
-
-
-@pytest.mark.parametrize("d", [2, 3, 20])
-def test_single_point_evaluation_is_the_batch_path(monkeypatch, d):
-    # evaluate() is a one-row evaluate_batch(): same value, same charge
-    calls = []
-    batch = ObjectiveInstance.evaluate_batch
-
-    def recording(self, points):
-        values = batch(self, points)
-        calls.append((np.array(points), values))
-        return values
-
-    monkeypatch.setattr(ObjectiveInstance, "evaluate_batch", recording)
-    rng = np.random.default_rng(d)
-    for fid in sorted(REGISTRY):
-        inst = make_instance(ObjectiveSpec(fid, d), 1)
-        for x in rng.uniform(-5.0, 5.0, size=(10, d)):
-            calls.clear()
-            value = inst.evaluate(x)
-            assert len(calls) == 1, fid
-            points, values = calls[0]
-            assert np.array_equal(points, x[None])
-            assert value == values[0], fid
-        assert inst.eval_counter == 10
 
 
 def test_suites_disjoint_and_sized():
@@ -176,7 +152,8 @@ def test_suites_disjoint_and_sized():
 def test_every_spec_evaluates_at_midpoint(d):
     for spec in training_suite(dims=(d,)) + holdout_suite(dims=(d,)):
         inst = make_instance(spec, 1)
-        value = inst.evaluate(inst.domain.midpoint)
+        midpoint = 0.5 * (inst.domain.lower + inst.domain.upper)
+        value = inst.evaluate_batch(midpoint[None])[0]
         assert np.isfinite(value)
 
 
@@ -208,11 +185,11 @@ def test_rotated_ellipsoid_differs_from_separable():
 def test_step_function_plateau():
     inst = make_instance(ObjectiveSpec("step", 3), 0)
     # inside the central plateau only the weak |z_1| slope remains
-    assert inst.evaluate([0.2, -0.3, 0.49]) == pytest.approx(0.2e-5)
-    assert inst.evaluate([0.2001, -0.3, 0.49]) == pytest.approx(0.2001e-5)
+    assert inst.evaluate_batch([[0.2, -0.3, 0.49]])[0] == pytest.approx(0.2e-5)
+    assert inst.evaluate_batch([[0.2001, -0.3, 0.49]])[0] == pytest.approx(0.2001e-5)
     # off the plateau the rounded quadratic dominates
-    assert inst.evaluate([0.9, 0.0, 0.0]) == pytest.approx(0.1, abs=1e-5)
-    assert inst.evaluate([0.0, 0.0, 0.0]) == 0.0
+    assert inst.evaluate_batch([[0.9, 0.0, 0.0]])[0] == pytest.approx(0.1, abs=1e-5)
+    assert inst.evaluate_batch([[0.0, 0.0, 0.0]])[0] == 0.0
 
 
 def unblocked_weierstrass(z):
@@ -251,8 +228,6 @@ def test_rotated_weierstrass_batches_match_unblocked_reference(d):
             z = (points - inst.shift) @ inst.rotation.T
             want = unblocked_weierstrass(z) + HOLDOUT_VALUE_OFFSET
             assert np.array_equal(inst.evaluate_batch(points), want)
-        # a single point takes the batch path
-        assert inst.evaluate(points[0]) == inst.evaluate_batch(points[:1])[0]
 
 
 def test_weierstrass_memory_is_bounded():

@@ -332,6 +332,13 @@ _GOOD_ALPHA_ROWS = [
         (7, "run_seed", "", "run_seed must be an integer, got ''"),
         (4, "alpha", "fast", "alpha must be a number, got 'fast'"),
         (5, "run_seed", None, "run_seed must be an integer, got None"),  # a short row
+        (3, "method", "literatur", "unknown method 'literatur'"),
+        (
+            6,
+            "run_seed",
+            "0",  # line 2's test key and method again
+            "repeated test key and method ('sphere', 2, 101, 0, 'predictive')",
+        ),
     ],
 )
 def test_report_names_line_of_malformed_alpha_csv(
@@ -700,6 +707,38 @@ def test_cli_reports_malformed_flag_values(trained, tmp_path, capsys, command, f
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag}: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,flag,value,message",
+    [
+        ("train", "--train-seeds", "0,0", "train_seeds must hold distinct values"),
+        ("compare", "--seeds", "0,0", "seeds must hold distinct values"),
+        ("compare", "--dims", "2,2", "dims must hold distinct values"),
+        ("compare", "--methods", "shade,shade,literature", "methods must hold distinct"),
+        ("features", "--sigma", "50,50", "sigmas must hold distinct values"),
+        ("train", "--campaign-seed", "-1", "campaign_seed must be >= 0, got -1"),
+        ("compare", "--campaign-seed", "-1", "campaign_seed must be >= 0, got -1"),
+        ("features", "--campaign-seed", "-1", "campaign_seed must be >= 0, got -1"),
+    ],
+)
+def test_config_rejected_before_any_write_keeping_the_store(
+    trained, tmp_path, capsys, command, flag, value, message
+):
+    out = tmp_path / "out"
+    out.mkdir()
+    store = out / "store.jsonl"
+    shutil.copyfile(trained[2], store)
+    before = store.read_bytes()
+    argv = compare_argv(str(store), out, "literature", 1600)
+    argv[0] = command
+    # argparse keeps the last value of a repeated flag
+    argv += ["--train-seeds", "1", "--n-param-sets", "2", flag, value]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert store.read_bytes() == before
+    assert os.listdir(out) == ["store.jsonl"]
 
 
 _small_configs = st.builds(

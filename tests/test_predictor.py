@@ -121,6 +121,12 @@ def test_recommend_empty_store_rejected():
         recommend(TrainingStore(), 1, FeatureVector(2.0, 1.0, 0.0))
 
 
+def test_recommendation_table_rejects_kappa_below_one():
+    store = TrainingStore([rec(0.3, 0.6, 30, (2.0, 1.0, 0.0), 1.0)])
+    with pytest.raises(ContractError, match="k must be >= 1, got 0"):
+        recommendation_table(store, kappa=0)
+
+
 def test_kappa_clamped_to_record_count(caplog):
     store = TrainingStore([rec(0.3, 0.6, 30, (2.0, 1.0, 0.0), 1.0)])
     with caplog.at_level(logging.WARNING):

@@ -126,14 +126,18 @@ def test_rank_sum_identity_always():
 
 
 def test_normal_approximation_close_to_exact():
+    # just past EXACT_MAX_N the input takes the normal route; scipy's
+    # enumeration of the same sample gives the exact side
     rng = np.random.default_rng(31)
     for _ in range(30):
-        n = int(rng.integers(12, 21))
+        n = int(rng.integers(21, 31))
         d = rng.normal(size=n) + 0.3  # shift so results are not always p ~ 1
-        exact = wilcoxon(d, method="exact")
-        approx = wilcoxon(d, method="normal")
-        assert exact.w == approx.w
-        assert abs(exact.p - approx.p) < 0.02
+        approx = wilcoxon(d)
+        exact = scipy.stats.wilcoxon(d, method="exact")
+        assert approx.method == "normal"
+        # scipy reports min(R+, R-); R+ + R- = n (n + 1) / 2 fixes |W|
+        assert abs(approx.w) == n * (n + 1) / 2 - 2 * exact.statistic
+        assert abs(exact.pvalue - approx.p) < 0.02
 
 
 def test_empty_input_rejected():
