@@ -8,16 +8,15 @@ sphere D=10, literature parameters (0.9, 0.5, 100), 10,000 evaluations,
 import numpy as np
 
 from tuneseer.bench import ObjectiveSpec, make_instance
-from tuneseer.de import ControlParams, RunConfig, optimize
+from tuneseer.de import optimize
+from tuneseer.sampling import ControlParams
 
 
 def main():
     finals = []
     for seed in range(30):
         instance = make_instance(ObjectiveSpec("sphere", 10), 1)
-        trace = optimize(
-            instance, ControlParams(0.9, 0.5, 100), RunConfig(10_000, seed)
-        )
+        trace = optimize(instance, ControlParams(0.9, 0.5, 100), 10_000, seed)
         finals.append(trace.best_value)
         print(f"seed {seed:2d}: final best {trace.best_value:.3e}")
     finals = np.array(finals)

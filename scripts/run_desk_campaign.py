@@ -1,85 +1,47 @@
 #!/usr/bin/env python3
-"""Run the full desk-scale experiment: train on the training suite, compare
-all four parameter-selection methods on the held-out suite, and emit the
+"""Run the full desk-scale experiment through the CLI: train on the training
+suite, compare the requested methods on the held-out suite, and emit the
 feature table.
 
-Results land under --out (default $TUNESEER_DATA or ./runs/desk).  Expect
-roughly 10-30 minutes single-threaded at the default sizes; use --workers.
+Takes the campaign flags of `tuneseer train` and `tuneseer compare` and hands
+them to every step, after its own `--out $TUNESEER_DATA/desk` (or
+./runs/desk) and `--workers <cpu count>`, which they override.  Each step
+then fixes its suite, and the features step fixes `--seeds 0,` and
+`--sigma 10,100,1000`.  A step that fails ends the script with its exit
+code.  Expect roughly 10-30 minutes at the default sizes.
+
+    python scripts/run_desk_campaign.py --dims 2,10 --seeds 10 --workers 2
 """
 
-import argparse
 import os
+import sys
 import time
 
-from tuneseer.harness import (
-    CampaignConfig,
-    cmd_compare,
-    cmd_features,
-    cmd_train,
-    default_out_dir,
+from tuneseer import cli
+from tuneseer.harness import default_out_dir
+
+STEPS = (
+    ("train", ["--suite", "training"]),
+    ("compare", ["--suite", "holdout"]),
+    ("features", ["--suite", "training", "--seeds", "0,", "--sigma", "10,100,1000"]),
 )
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default=os.path.join(default_out_dir(), "desk"))
-    parser.add_argument("--workers", type=int, default=os.cpu_count() or 1)
-    parser.add_argument("--dims", default="2,10,20")
-    parser.add_argument("--budget", type=int, default=10_000)
-    parser.add_argument("--sigma", type=int, default=1000)
-    parser.add_argument("--kappa", type=int, default=10)
-    parser.add_argument("--instances", type=int, default=3)
-    parser.add_argument("--train-seeds", type=int, default=5)
-    parser.add_argument("--seeds", type=int, default=30)
-    parser.add_argument(
-        "--methods", default="predictive,best-of-training,shade,literature"
-    )
-    args = parser.parse_args()
-
-    dims = tuple(int(d) for d in args.dims.split(","))
-    common = dict(
-        dims=dims,
-        instances=args.instances,
-        budget=args.budget,
-        sigma=args.sigma,
-        kappa=args.kappa,
-        out=args.out,
-        workers=args.workers,
-    )
-
-    t0 = time.time()
-    cmd_train(
-        CampaignConfig(
-            suite="training",
-            train_seeds=tuple(range(args.train_seeds)),
-            **common,
-        )
-    )
-    print(f"[train] {time.time() - t0:.0f} s")
-
-    t0 = time.time()
-    cmd_compare(
-        CampaignConfig(
-            suite="holdout",
-            seeds=tuple(range(args.seeds)),
-            methods=tuple(args.methods.split(",")),
-            **common,
-        )
-    )
-    print(f"[compare] {time.time() - t0:.0f} s")
-
-    t0 = time.time()
-    cmd_features(
-        CampaignConfig(
-            suite="training",
-            seeds=(0,),
-            sigmas=(10, 100, 1000),
-            **common,
-        )
-    )
-    print(f"[features] {time.time() - t0:.0f} s")
-    print(f"outputs in {args.out}")
+def main(argv=None) -> int:
+    argv = [
+        "--out", os.path.join(default_out_dir(), "desk"),
+        "--workers", str(os.cpu_count() or 1),
+        *(sys.argv[1:] if argv is None else argv),
+    ]
+    for step, fixed in STEPS:
+        t0 = time.time()
+        code = cli.main([step, *argv, *fixed])
+        if code:
+            return code
+        print(f"[{step}] {time.time() - t0:.0f} s")
+    print(f"outputs in {cli.build_parser().parse_args(['train', *argv]).out}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -45,28 +45,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ContractError
-from .sampling import ControlParams, substream
-
-__all__ = [
-    "ControlParams",
-    "RunConfig",
-    "RunTrace",
-    "GenerationStats",
-    "evolve",
-    "optimize",
-    "init_population",
-]
+from .sampling import MIN_POP_SIZE, ControlParams, substream
 
 Q_GREEDY_MAX = 0.2
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """budget: max objective evaluations the optimizer may spend; seed:
-    stream for all of the run's randomness."""
-
-    budget: int
-    seed: int
 
 
 @dataclass
@@ -105,8 +86,8 @@ class GenerationStats:
 def init_population(instance, pop_size: int, rng: np.random.Generator):
     """Uniform population over the instance domain; evaluates all members
     (charges pop_size evaluations).  Returns (points, values)."""
-    if pop_size < 5:
-        raise ContractError(f"population size must be >= 5, got {pop_size}")
+    if pop_size < MIN_POP_SIZE:
+        raise ContractError(f"population size must be >= {MIN_POP_SIZE}, got {pop_size}")
     dom = instance.domain
     points = rng.uniform(dom.lower, dom.upper, size=(pop_size, instance.dimension))
     return points, instance.evaluate_batch(points)
@@ -223,14 +204,16 @@ def evolve(
     return trace
 
 
-def optimize(instance, params: ControlParams, cfg: RunConfig) -> RunTrace:
-    """Fixed-parameter DE run; deterministic given (instance, params, seed)."""
+def optimize(instance, params: ControlParams, budget: int, seed: int) -> RunTrace:
+    """Fixed-parameter DE run of at most ``budget`` evaluations of its own,
+    drawing all of its randomness from stream ``seed``; deterministic given
+    (instance, params, budget, seed)."""
     params.validate()
-    rng = substream(cfg.seed, "de")
+    rng = substream(seed, "de")
     cr = np.full(params.p3, params.p1)
     f = np.full(params.p3, params.p2)
 
     def fixed_params(_rng):
         return cr, f
 
-    return evolve(instance, params.p3, cfg.budget, rng, fixed_params)
+    return evolve(instance, params.p3, budget, rng, fixed_params)

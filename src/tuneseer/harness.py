@@ -370,11 +370,10 @@ def _run_compare_item(item: _CompareItem) -> tuple:
             record = replace(record, run_seed=item.run_seed)
             params = record.params
         else:
-            run_cfg = de.RunConfig(budget=item.budget, seed=item.item_seed)
             if item.method == METHOD_SHADE:
-                trace = shade.optimize_shade(instance, run_cfg)
+                trace = shade.optimize_shade(instance, item.budget, item.item_seed)
             else:
-                trace = de.optimize(instance, params, run_cfg)
+                trace = de.optimize(instance, params, item.budget, item.item_seed)
             score = compute_alpha(trace)
         curve = _improvement_rows(trace)
     except Exception as exc:  # failures become explicit report rows

@@ -10,11 +10,13 @@ where g* is the first generation whose best value is within 1% of the final
 value, i.e. the earliest g with F_G / F_g > 0.99.  That ratio rule assumes
 positive values; when F_G <= 0 < F_1 the equivalent reduction form is used
 instead: the earliest g with (F_1 - F_g) >= 0.99 (F_1 - F_G).  Runs starting
-at F_1 <= 0 score 0 and are flagged as degenerate.
+at F_1 <= 0 score 0 and are flagged as degenerate; a run starting at NaN or
++inf has no score and is rejected.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ContractError
@@ -39,6 +41,10 @@ def compute_alpha(trace) -> PerformanceScore:
     g1, n1, f1 = gens[0]
     f_final = gens[-1][2]
 
+    if math.isnan(f1) or f1 == math.inf:
+        # NaN enters only through the initial population, because a NaN trial
+        # never wins selection; either start would score alpha = NaN
+        raise ContractError(f"cannot score a run whose first best value is {f1}")
     if f1 <= 0.0:
         return PerformanceScore(alpha=0.0, g_star=g1, n_g=n1, degenerate=True)
 
@@ -54,10 +60,8 @@ def compute_alpha(trace) -> PerformanceScore:
         def converged(f_g: float) -> bool:
             return (f1 - f_g) >= CONVERGED_FRACTION * total
 
+    # the final generation satisfies either rule, so the loop always breaks
     for g, n, f_g in gens:
         if converged(f_g):
-            alpha = 100.0 * (f1 - f_final) / (f1 * n)
-            return PerformanceScore(alpha=alpha, g_star=g, n_g=n)
-    # unreachable: the final generation always satisfies either rule
-    g, n, _ = gens[-1]
+            break
     return PerformanceScore(alpha=100.0 * (f1 - f_final) / (f1 * n), g_star=g, n_g=n)

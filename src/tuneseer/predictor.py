@@ -31,6 +31,7 @@ from .features import FeatureConfig, FeatureVector, extract_features
 from .metric import PerformanceScore, compute_alpha
 from .sampling import (
     DEFAULT_PARAM_RANGES,
+    MIN_POP_SIZE,
     ControlParams,
     derive_seed,
     lhs_params,
@@ -171,8 +172,8 @@ def _mean_params(records: list[TrainingRecord]) -> ControlParams:
     p1 = float(np.mean([r.params.p1 for r in records]))
     p2 = float(np.mean([r.params.p2 for r in records]))
     p3_mean = float(np.mean([r.params.p3 for r in records]))
-    # round half away from zero, keep population integral and >= 5
-    p3 = max(5, int(math.floor(p3_mean + 0.5)))
+    # round half away from zero, keep population integral and at the floor
+    p3 = max(MIN_POP_SIZE, int(math.floor(p3_mean + 0.5)))
     return ControlParams(p1=p1, p2=p2, p3=p3)
 
 
@@ -228,9 +229,7 @@ def _featured_run(
         raise ContractError(f"budget {budget} must exceed sigma {sigma}")
     beta = extract_features(instance, FeatureConfig(sigma=sigma, seed=seed))
     params = choose(beta)
-    trace = de.optimize(
-        instance, params, de.RunConfig(budget=budget - sigma, seed=seed)
-    )
+    trace = de.optimize(instance, params, budget - sigma, seed)
     score = compute_alpha(trace)
     record = TrainingRecord(
         params=params,

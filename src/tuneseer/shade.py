@@ -27,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .de import GenerationStats, RunConfig, RunTrace, evolve
+from .de import GenerationStats, RunTrace, evolve
 from .sampling import substream
 
 POP_SIZE = 100
@@ -82,16 +82,18 @@ def sample_memory_params(
 
 def optimize_shade(
     instance,
-    cfg: RunConfig,
+    budget: int,
+    seed: int,
     pop_size: int = POP_SIZE,
     observer: Optional[Callable[[GenerationStats, ShadeMemory], None]] = None,
 ) -> RunTrace:
-    """Adaptive run; trace contract identical to the fixed-parameter engine.
+    """Adaptive run of at most ``budget`` evaluations from stream ``seed``;
+    trace contract identical to the fixed-parameter engine.
 
     ``observer`` sees each generation's selection stats and the memory
     state after any update.
     """
-    rng = substream(cfg.seed, "de")
+    rng = substream(seed, "de")
     memory = ShadeMemory()
 
     def sampler(r: np.random.Generator):
@@ -104,4 +106,4 @@ def optimize_shade(
         if observer is not None:
             observer(stats, memory)
 
-    return evolve(instance, pop_size, cfg.budget, rng, sampler, on_generation)
+    return evolve(instance, pop_size, budget, rng, sampler, on_generation)

@@ -12,9 +12,9 @@ import os
 import numpy as np
 import pytest
 
-from tuneseer import cluster, de, shade, stats
+from tuneseer import cluster, stats
 from tuneseer.bench import ObjectiveSpec, make_instance
-from tuneseer.de import ControlParams, RunConfig, RunTrace, optimize
+from tuneseer.de import RunTrace, optimize
 from tuneseer.features import FeatureConfig, FeatureVector, extract_features, iqr, skew
 from tuneseer.harness import CampaignConfig, cmd_compare, cmd_train
 from tuneseer.metric import compute_alpha
@@ -26,7 +26,7 @@ from tuneseer.predictor import (
     run_predictive,
     top_set_size,
 )
-from tuneseer.sampling import latin_hypercube, make_rng
+from tuneseer.sampling import ControlParams, latin_hypercube, make_rng
 from tuneseer.shade import ShadeMemory, optimize_shade
 
 
@@ -112,7 +112,7 @@ def test_criterion_3_lhs_stratification():
 def test_criterion_4_de_kernel():
     # exact stationarity at p1 = p2 = 0
     inst = make_instance(ObjectiveSpec("sphere", 5), 1)
-    trace = optimize(inst, ControlParams(0.0, 0.0, 10), RunConfig(300, 3))
+    trace = optimize(inst, ControlParams(0.0, 0.0, 10), 300, 3)
     first = trace.generations[0][2]
     assert all(f == first for _, _, f in trace.generations)
 
@@ -129,7 +129,8 @@ def test_criterion_4_de_kernel():
         tr = optimize(
             instance,
             ControlParams(float(rng.random()), float(rng.uniform(0.1, 1.0)), p3),
-            RunConfig(budget, int(rng.integers(0, 1e6))),
+            budget,
+            int(rng.integers(0, 1e6)),
         )
         best = [f for _, _, f in tr.generations]
         assert all(b >= a for a, b in zip(best[1:], best))
@@ -140,7 +141,7 @@ def test_criterion_4_de_kernel():
     finals = []
     for seed in range(30):
         instance = make_instance(ObjectiveSpec("sphere", 10), 1)
-        tr = optimize(instance, ControlParams(0.9, 0.5, 100), RunConfig(10_000, seed))
+        tr = optimize(instance, ControlParams(0.9, 0.5, 100), 10_000, seed)
         finals.append(tr.best_value)
     reached = sum(1 for f in finals if f <= 1e-2)
     assert reached >= 28
@@ -172,7 +173,8 @@ def test_criterion_5_shade_memory():
     log = []
     optimize_shade(
         Plateau(),
-        RunConfig(3000, seed=4),
+        3000,
+        4,
         observer=lambda st, m: log.append((bool(st.successes.any()), m.snapshot())),
     )
     stalled = sum(1 for ok_, _ in log if not ok_)

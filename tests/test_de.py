@@ -1,18 +1,16 @@
-import math
-
 import numpy as np
 import pytest
 
 from tuneseer import de, shade
 from tuneseer.bench import ObjectiveSpec, make_instance
-from tuneseer.de import ControlParams, RunConfig, optimize
+from tuneseer.de import optimize
 from tuneseer.errors import ContractError
-from tuneseer.sampling import substream
+from tuneseer.sampling import ControlParams, substream
 
 
 def run(fid="sphere", d=5, inst_seed=1, params=(0.9, 0.5, 20), budget=600, seed=0):
     instance = make_instance(ObjectiveSpec(fid, d), inst_seed)
-    trace = optimize(instance, ControlParams(*params), RunConfig(budget, seed))
+    trace = optimize(instance, ControlParams(*params), budget, seed)
     return instance, trace
 
 
@@ -46,7 +44,7 @@ def test_elitism_and_budget_over_randomized_runs():
             p1=float(rng.random()), p2=float(rng.uniform(0.1, 1.0)), p3=p3
         )
         instance = make_instance(ObjectiveSpec(fid, d), int(rng.integers(0, 5)))
-        trace = optimize(instance, params, RunConfig(budget, int(rng.integers(0, 1e6))))
+        trace = optimize(instance, params, budget, int(rng.integers(0, 1e6)))
         best = [f for _, _, f in trace.generations]
         evals = [n for _, n, _ in trace.generations]
         assert all(b >= a for a, b in zip(best[1:], best))  # non-increasing
@@ -59,7 +57,7 @@ def test_elitism_and_budget_over_randomized_runs():
 def test_budget_below_population_rejected():
     instance = make_instance(ObjectiveSpec("sphere", 3), 0)
     with pytest.raises(ContractError):
-        optimize(instance, ControlParams(0.9, 0.5, 50), RunConfig(49, 0))
+        optimize(instance, ControlParams(0.9, 0.5, 50), 49, 0)
 
 
 def test_init_population_counts_and_bounds():
@@ -151,7 +149,7 @@ def test_selection_matches_bruteforce_recomputation():
     spec = ObjectiveSpec("rastrigin", 3)
     p3, budget, seed = 8, 16, 77
     engine_instance = make_instance(spec, 2)
-    trace = optimize(engine_instance, ControlParams(0.4, 0.7, p3), RunConfig(budget, seed))
+    trace = optimize(engine_instance, ControlParams(0.4, 0.7, p3), budget, seed)
 
     ref_instance = make_instance(spec, 2)
     rng = substream(seed, "de")
@@ -271,11 +269,11 @@ def test_fixed_kernel_matches_list_archive_reference(monkeypatch, pop_size, dim)
     # long enough for the archive to fill and evict over many generations
     spec = ObjectiveSpec("rastrigin", dim)
     params = ControlParams(0.9, 0.5, pop_size)
-    cfg = RunConfig(budget=pop_size * 30, seed=1000 + pop_size + dim)
+    budget, seed = pop_size * 30, 1000 + pop_size + dim
 
-    got = optimize(make_instance(spec, 3), params, cfg)
+    got = optimize(make_instance(spec, 3), params, budget, seed)
     want, evictions = _reference_run(
-        monkeypatch, de, lambda: optimize(make_instance(spec, 3), params, cfg)
+        monkeypatch, de, lambda: optimize(make_instance(spec, 3), params, budget, seed)
     )
     assert len(evictions) > pop_size
     assert got.final_population.base is None  # owned, not a buffer view
@@ -285,10 +283,12 @@ def test_fixed_kernel_matches_list_archive_reference(monkeypatch, pop_size, dim)
 @pytest.mark.parametrize("pop_size,dim", MULTI_GEN_GRID)
 def test_shade_kernel_matches_list_archive_reference(monkeypatch, pop_size, dim):
     spec = ObjectiveSpec("ackley", dim)
-    cfg = RunConfig(budget=pop_size * 30, seed=2000 + pop_size + dim)
+    budget, seed = pop_size * 30, 2000 + pop_size + dim
 
     def run_shade():
-        return shade.optimize_shade(make_instance(spec, 4), cfg, pop_size=pop_size)
+        return shade.optimize_shade(
+            make_instance(spec, 4), budget, seed, pop_size=pop_size
+        )
 
     got = run_shade()
     want, evictions = _reference_run(monkeypatch, shade, run_shade)

@@ -162,6 +162,27 @@ def test_failed_runs_are_explicit_rows(trained, monkeypatch):
     assert report.n_failed == 6
 
 
+def test_nan_objective_runs_are_failed_rows(trained, monkeypatch):
+    out, _, _ = trained
+    monkeypatch.setattr(
+        ObjectiveInstance, "evaluate_batch", lambda self, points: np.full(len(points), np.nan)
+    )
+    config = train_config(
+        out,
+        suite="holdout",
+        out=str(out / "nan"),
+        store_path=str(out / "store.jsonl"),
+        methods=("literature",),
+        seeds=(0,),
+    )
+    report = cmd_compare(config)
+    rows = read_rows(os.path.join(str(out / "nan"), "alpha.csv"))
+    assert len(rows) == 6
+    assert all(r["status"].startswith("failed: cannot score") for r in rows)
+    assert all(r["alpha"] == "" for r in rows)
+    assert report.n_failed == 6
+
+
 def test_self_comparison_is_null():
     rows = []
     for method in ("predictive", "literature"):
@@ -443,18 +464,24 @@ def test_every_config_key_has_a_checked_type():
 
 def test_cli_import_loads_neither_scipy_nor_multiprocessing():
     src = os.path.dirname(os.path.dirname(tuneseer.__file__))
-    probe = (
-        "import sys, tuneseer.cli; "
-        "print(sorted(m for m in ('scipy', 'multiprocessing') if m in sys.modules))"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", probe],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
-        check=True,
-    )
-    assert proc.stdout.strip() == "[]"
+    probes = {
+        "tuneseer.cli": ("scipy", "multiprocessing"),
+        # the package re-exports nothing, so a leaf module loads only its deps
+        "tuneseer.bench": ("tuneseer.harness", "tuneseer.cluster"),
+    }
+    for module, absent in probes.items():
+        probe = (
+            f"import sys, {module}; "
+            f"print(sorted(m for m in {absent!r} if m in sys.modules))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            check=True,
+        )
+        assert proc.stdout.strip() == "[]", module
 
 
 def test_cli_module_entrypoint(tmp_path):

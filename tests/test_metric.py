@@ -68,6 +68,14 @@ def test_empty_trace_rejected():
         compute_alpha(trace_of([]))
 
 
+@pytest.mark.parametrize("start", [float("nan"), float("inf")])
+def test_unscorable_start_rejected(start):
+    # a NaN member of the initial population keeps every best value NaN,
+    # since a NaN trial never wins selection; either start scores alpha = NaN
+    with pytest.raises(ContractError, match="first best value"):
+        compute_alpha(trace_of([(1, 10, start), (2, 20, start)]))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     values=st.lists(st.floats(0.01, 1e6), min_size=1, max_size=30),

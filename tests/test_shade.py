@@ -3,7 +3,6 @@ import pytest
 
 from tuneseer import de, shade
 from tuneseer.bench import ObjectiveSpec, make_instance
-from tuneseer.de import RunConfig
 from tuneseer.errors import ContractError
 from tuneseer.sampling import substream
 from tuneseer.shade import ShadeMemory, optimize_shade, sample_memory_params
@@ -65,7 +64,7 @@ def test_zero_success_generations_freeze_memory_in_full_run():
     def observer(stats, memory):
         log.append((bool(stats.successes.any()), memory.snapshot()))
 
-    optimize_shade(_PlateauObjective(), RunConfig(3000, seed=4), observer=observer)
+    optimize_shade(_PlateauObjective(), 3000, 4, observer=observer)
     assert any(not ok for ok, _ in log), "expected at least one stalled generation"
     prev = None
     for ok, snap in log:
@@ -83,7 +82,7 @@ def test_memory_bounds_after_run():
     def observer(stats, memory):
         final["memory"] = memory
 
-    optimize_shade(instance, RunConfig(3000, seed=8), observer=observer)
+    optimize_shade(instance, 3000, 8, observer=observer)
     memory = final["memory"]
     assert np.all(memory.m_cr >= 0.0) and np.all(memory.m_cr <= 1.0)
     assert np.all(memory.m_f > 0.0) and np.all(memory.m_f <= 1.0)
@@ -91,7 +90,7 @@ def test_memory_bounds_after_run():
 
 def test_elitism_and_budget_inherited():
     instance = make_instance(ObjectiveSpec("ackley", 4), 3)
-    trace = optimize_shade(instance, RunConfig(2500, seed=1))
+    trace = optimize_shade(instance, 2500, 1)
     best = [f for _, _, f in trace.generations]
     assert all(b >= a for a, b in zip(best[1:], best))
     assert instance.eval_counter <= 2500
@@ -101,7 +100,7 @@ def test_elitism_and_budget_inherited():
 def test_budget_below_population_rejected():
     instance = make_instance(ObjectiveSpec("sphere", 3), 0)
     with pytest.raises(ContractError):
-        optimize_shade(instance, RunConfig(99, 0))
+        optimize_shade(instance, 99, 0)
 
 
 class _FlatObjective(_PlateauObjective):
@@ -122,7 +121,7 @@ def test_frozen_memory_equals_shared_kernel_with_sampled_params():
     def keep(stats, memory):
         snaps.append(memory.snapshot())
 
-    a = optimize_shade(_FlatObjective(4), RunConfig(budget, seed), observer=keep)
+    a = optimize_shade(_FlatObjective(4), budget, seed, observer=keep)
 
     memory = ShadeMemory()
     rng = substream(seed, "de")
@@ -149,7 +148,7 @@ def test_shade_equals_shared_kernel_with_memory_observer():
     def keep(stats, memory):
         final["memory"] = memory.snapshot()
 
-    a = optimize_shade(make_instance(spec, 5), RunConfig(budget, seed), observer=keep)
+    a = optimize_shade(make_instance(spec, 5), budget, seed, observer=keep)
 
     memory = ShadeMemory()
     rng = substream(seed, "de")
@@ -171,6 +170,6 @@ def test_shade_equals_shared_kernel_with_memory_observer():
 
 
 def test_deterministic_runs():
-    a = optimize_shade(make_instance(ObjectiveSpec("sphere", 6), 2), RunConfig(1200, 5))
-    b = optimize_shade(make_instance(ObjectiveSpec("sphere", 6), 2), RunConfig(1200, 5))
+    a = optimize_shade(make_instance(ObjectiveSpec("sphere", 6), 2), 1200, 5)
+    b = optimize_shade(make_instance(ObjectiveSpec("sphere", 6), 2), 1200, 5)
     assert a.generations == b.generations
