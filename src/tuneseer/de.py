@@ -17,13 +17,19 @@ coordinate.
 The fixed-parameter optimizer and the adaptive baseline share the generation
 kernel ``evolve``; they differ only in how per-individual (CR, F) pairs are
 sampled each generation.  Per generation, draws are consumed in a fixed
-order: (CR, F) sampler, greediness q, pbest indices, r1, r2, forced
-coordinate, crossover mask, archive evictions.
+order: (CR, F) sampler, greediness q, one bounded-integer draw (pbest rank,
+r1, r2, forced coordinate), crossover mask, archive evictions.
 
 Archive layout.  Population and archive share one preallocated (2 pop, D)
 buffer: rows [0, pop) are the population and the next n_arch rows the
 archive, oldest entry first, so r2 indexes the buffer directly.  The archive
 order is part of the output contract: r2 picks rows by position.
+
+Integer draws.  The pbest ranks, r1, r2 and forced coordinates come from one
+``rng.integers(0, highs)`` call whose (4 pop,) bound array holds, in that
+order, the pbest pool sizes, pop - 1, pop + n_arch - 2 and D.  For PCG64 an
+array-bound draw returns the same values, and leaves the same generator
+state, as consecutive scalar-bound draws of those bounds.
 
 Eviction draws.  Replaced parents enter the archive in ascending individual
 order; each entry that finds the archive full evicts the entry at a uniform
@@ -31,9 +37,10 @@ index in [0, pop], counted after the new entry is appended.  With m winners
 that is n_evict = max(0, n_arch + m - pop) evictions, drawn as one
 ``rng.integers(0, pop + 1, size=n_evict)`` call.  For PCG64 that vector draw
 returns the same values, and leaves the same generator state, as n_evict
-scalar draws (tests/test_de.py guards this).  Appending all m entries and
-then deleting the drawn indices in order gives the same archive as
-alternating append and delete, because every index is <= pop and so never
+scalar draws, and a draw of size 0 leaves the state unchanged
+(tests/test_de.py guards both integer-draw contracts).  Appending all m
+entries and then deleting the drawn indices in order gives the same archive
+as alternating append and delete, because every index is <= pop and so never
 reaches the entries still waiting beyond it.
 """
 
@@ -93,20 +100,6 @@ def init_population(instance, pop_size: int, rng: np.random.Generator):
     return points, instance.evaluate_batch(points)
 
 
-def _pick_r1(rng, pop_size, own):
-    draws = rng.integers(0, pop_size - 1, size=pop_size)
-    return draws + (draws >= own)
-
-
-def _pick_r2(rng, total, own, r1):
-    draws = rng.integers(0, total - 2, size=own.size)
-    lo = np.minimum(own, r1)
-    hi = np.maximum(own, r1)
-    r2 = draws + (draws >= lo)
-    r2 += r2 >= hi
-    return r2
-
-
 def evolve(
     instance,
     pop_size: int,
@@ -143,6 +136,10 @@ def evolve(
     q_lo = 2.0 / pop_size
     q_hi = max(q_lo, Q_GREEDY_MAX)
     idx = np.arange(pop_size)
+    # exclusive bounds of the pbest rank, r1, r2 and forced-coordinate draws
+    highs = np.empty(4 * pop_size, dtype=np.int64)
+    highs[pop_size : 2 * pop_size] = pop_size - 1
+    highs[3 * pop_size :] = dim
 
     while used + pop_size <= budget:
         gen += 1
@@ -150,16 +147,17 @@ def evolve(
 
         order = np.argsort(fvals, kind="stable")
         q = rng.uniform(q_lo, q_hi, size=pop_size)
-        pool = np.maximum(2, np.ceil(q * pop_size).astype(int))
-        pbest = order[rng.integers(0, pool)]
-        r1 = _pick_r1(rng, pop_size, idx)
-        combined = buf[: pop_size + n_arch]
-        r2 = _pick_r2(rng, combined.shape[0], idx, r1)
+        highs[:pop_size] = np.maximum(2, np.ceil(q * pop_size))
+        highs[2 * pop_size : 3 * pop_size] = pop_size + n_arch - 2
+        rank, r1, r2, jrand = rng.integers(0, highs).reshape(4, pop_size)
+        pbest = order[rank]
+        r1 += r1 >= idx  # skip i
+        r2 += r2 >= np.minimum(idx, r1)  # skip i and r1, lower first
+        r2 += r2 >= np.maximum(idx, r1)
 
         fw = f[:, None]
-        donors = pop + fw * (pop[pbest] - pop) + fw * (pop[r1] - combined[r2])
+        donors = pop + fw * (pop[pbest] - pop) + fw * (pop[r1] - buf[r2])
 
-        jrand = rng.integers(0, dim, size=pop_size)
         mask = rng.random((pop_size, dim)) < cr[:, None]
         mask[idx, jrand] = True
         trials = np.where(mask, donors, pop)
@@ -175,20 +173,14 @@ def evolve(
                 cr=cr, f=f, successes=tvals < fvals, deltas=fvals - tvals
             )
 
-        winners = np.flatnonzero(improved)
-        if winners.size:
-            # buffer rows of the archive after appending every winner's parent
-            rows = list(range(pop_size, pop_size + n_arch))
-            rows.extend(winners.tolist())
-            first = n_arch  # archive positions below this keep their rows
-            n_evict = len(rows) - pop_size
-            if n_evict > 0:
-                evict = rng.integers(0, pop_size + 1, size=n_evict)
-                first = min(first, int(evict.min()))
-                for k in evict.tolist():
-                    del rows[k]
-            n_arch = len(rows)
-            buf[pop_size + first : pop_size + n_arch] = buf[rows[first:]]
+        # buffer rows of the archive after appending every winner's parent
+        rows = list(range(pop_size, pop_size + n_arch))
+        rows += np.flatnonzero(improved).tolist()
+        n_evict = max(0, len(rows) - pop_size)
+        for k in rng.integers(0, pop_size + 1, size=n_evict).tolist():
+            del rows[k]
+        n_arch = len(rows)
+        buf[pop_size : pop_size + n_arch] = buf[rows]
 
         pop[improved] = trials[improved]
         fvals[improved] = tvals[improved]

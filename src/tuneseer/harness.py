@@ -491,8 +491,6 @@ def cmd_compare(config: CampaignConfig) -> ComparisonReport:
                 f"methods {config.methods} need a training store; {path} not found"
             )
         store = TrainingStore.load(path)
-        if not store.records:
-            raise ContractError(f"training store {path} is empty")
     _require_budget(config, config.methods, store)
 
     keys = _test_keys(config, specs)

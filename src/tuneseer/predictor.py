@@ -95,10 +95,15 @@ class TrainingRecord:
 
 
 class TrainingStore:
-    """Append-only record list."""
+    """Append-only record list; ``path`` names the file it was loaded from,
+    so an empty store's error can say which file it was."""
 
-    def __init__(self, records=None):
+    def __init__(self, records=None, path=None):
         self.records: list[TrainingRecord] = list(records or [])
+        self.path = path
+
+    def __str__(self) -> str:
+        return "training store" if self.path is None else f"training store {self.path}"
 
     def __len__(self) -> int:
         return len(self.records)
@@ -111,7 +116,7 @@ class TrainingStore:
 
     def best_record(self) -> TrainingRecord:
         if not self.records:
-            raise NoDataError("store is empty")
+            raise NoDataError(f"{self} is empty")
         return max(self.records, key=lambda r: r.alpha)
 
     def save(self, path) -> None:
@@ -148,7 +153,7 @@ class TrainingStore:
                     ) from exc
                 except (ValueError, TypeError) as exc:
                     raise ContractError(f"{path}:{lineno}: bad record: {exc}") from exc
-        return cls(records)
+        return cls(records, path=path)
 
 
 def _utc_now() -> str:
@@ -186,7 +191,7 @@ def recommendation_table(
     """Fitted model plus, per cluster, the mean parameters of its top 10%
     records by score."""
     if not store.records:
-        raise NoDataError("cannot recommend from an empty store")
+        raise NoDataError(f"cannot recommend from an empty {store}")
     features = store.features_array()
     model = fit_model(features, kappa, seed=seed, scale=scale)
     labels = model.classify_all(features)

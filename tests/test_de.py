@@ -163,13 +163,28 @@ def test_selection_matches_bruteforce_recomputation():
     assert trace.generations[-1][2] == ref_vals.min()
 
 
+def _pick_r1(rng, pop_size, own):
+    draws = rng.integers(0, pop_size - 1, size=pop_size)
+    return draws + (draws >= own)
+
+
+def _pick_r2(rng, total, own, r1):
+    draws = rng.integers(0, total - 2, size=own.size)
+    lo = np.minimum(own, r1)
+    hi = np.maximum(own, r1)
+    r2 = draws + (draws >= lo)
+    r2 += r2 >= hi
+    return r2
+
+
 def _reference_evolve(
     instance, pop_size, budget, rng, sample_cr_f, observer=None, evictions=None
 ):
     """The kernel as it stood with the archive held as a Python list of rows,
-    joined to the population by ``np.vstack`` each generation, and one scalar
-    eviction draw per archive overflow.  ``evictions`` (a list) collects the
-    evicted indices."""
+    joined to the population by ``np.vstack`` each generation, four separate
+    integer draws (pbest, r1, r2, forced coordinate) per generation, and one
+    scalar eviction draw per archive overflow.  ``evictions`` (a list)
+    collects the evicted indices."""
     dom = instance.domain
     lower, upper = dom.lower, dom.upper
     dim = instance.dimension
@@ -193,9 +208,9 @@ def _reference_evolve(
         q = rng.uniform(q_lo, q_hi, size=pop_size)
         pool = np.maximum(2, np.ceil(q * pop_size).astype(int))
         pbest = order[rng.integers(0, pool)]
-        r1 = de._pick_r1(rng, pop_size, idx)
+        r1 = _pick_r1(rng, pop_size, idx)
         combined = np.vstack([pop] + archive) if archive else pop
-        r2 = de._pick_r2(rng, combined.shape[0], idx, r1)
+        r2 = _pick_r2(rng, combined.shape[0], idx, r1)
 
         fw = f[:, None]
         donors = pop + fw * (pop[pbest] - pop) + fw * (pop[r1] - combined[r2])
@@ -296,13 +311,14 @@ def test_shade_kernel_matches_list_archive_reference(monkeypatch, pop_size, dim)
     _assert_same_trace(got, want)
 
 
-@pytest.mark.parametrize("k", [1, 2, 7, 64, 501])
+@pytest.mark.parametrize("k", [0, 1, 2, 7, 64, 501])
 def test_vector_integer_draw_equals_scalar_draws(k):
     # The kernel draws all of a generation's archive evictions with one
     # vector call.  This relies on it matching k scalar calls, including the
     # generator state it leaves behind: PCG64 keeps the unused 32-bit half
     # of a 64-bit output in the bit generator.  An odd seed starts the draws
-    # on that buffered half.
+    # on that buffered half.  k = 0 is a generation without overflow, whose
+    # draw must consume nothing.
     for seed in range(30):
         for n in (6, 9, 20, 101, 501):
             vec_rng = substream(seed, "de")
@@ -315,3 +331,42 @@ def test_vector_integer_draw_equals_scalar_draws(k):
             assert vector == scalar
             assert vec_rng.integers(0, n) == scalar_rng.integers(0, n)
             assert vec_rng.random() == scalar_rng.random()
+
+
+@pytest.mark.parametrize("pop_size,dim", [(5, 1), (5, 2), (8, 3), (19, 10), (100, 30)])
+def test_bound_array_draw_equals_four_scalar_bound_draws(pop_size, dim):
+    # The kernel draws a generation's pbest ranks, r1, r2 and forced
+    # coordinates with one array-bound call.  It must match the four calls it
+    # replaced (array-bound pbest, then scalar-bound r1, r2 and jrand), in
+    # values and in the generator state left behind, from either half of
+    # PCG64's buffered 64-bit output.
+    for seed in range(20):
+        draw_rng = np.random.default_rng(seed)
+        for n_arch in (0, 1, pop_size // 2, pop_size):
+            pool = draw_rng.integers(2, pop_size + 1, size=pop_size)
+            highs = np.concatenate(
+                [
+                    pool,
+                    np.full(pop_size, pop_size - 1),
+                    np.full(pop_size, pop_size + n_arch - 2),
+                    np.full(pop_size, dim),
+                ]
+            )
+            for odd in (False, True):
+                merged_rng = substream(seed, "de")
+                split_rng = substream(seed, "de")
+                if odd:
+                    merged_rng.integers(0, 3)
+                    split_rng.integers(0, 3)
+                merged = merged_rng.integers(0, highs)
+                split = np.concatenate(
+                    [
+                        split_rng.integers(0, pool),
+                        split_rng.integers(0, pop_size - 1, size=pop_size),
+                        split_rng.integers(0, pop_size + n_arch - 2, size=pop_size),
+                        split_rng.integers(0, dim, size=pop_size),
+                    ]
+                )
+                assert np.array_equal(merged, split)
+                assert merged_rng.bit_generator.state == split_rng.bit_generator.state
+

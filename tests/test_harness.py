@@ -680,6 +680,26 @@ def test_compare_rejects_budget_below_best_record_population(trained, tmp_path):
     assert cli.main(compare_argv(store_path, out, "best-of-training", p3)) == 0
 
 
+@pytest.mark.parametrize(
+    "command,message",
+    [
+        ("predictive", "cannot recommend from an empty training store {}"),
+        ("best-of-training", "training store {} is empty"),
+        ("recommend", "cannot recommend from an empty training store {}"),
+    ],
+)
+def test_empty_store_rejected_naming_the_file(tmp_path, capsys, command, message):
+    store = tmp_path / "empty.jsonl"
+    store.write_text("")
+    if command == "recommend":
+        argv = ["recommend", "--store", str(store), "--beta", "10,1.3,0.2"]
+    else:
+        argv = compare_argv(str(store), tmp_path / "out", command, 1600)
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message.format(store)}\n"
+    assert os.listdir(tmp_path) == ["empty.jsonl"]
+
+
 def test_train_rejects_budget_below_sigma_plus_design_population(tmp_path):
     with pytest.raises(ContractError, match="550"):
         cmd_train(train_config(tmp_path, budget=549, sigma=50))
