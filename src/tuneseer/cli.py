@@ -90,6 +90,11 @@ def _campaign_config(args: argparse.Namespace) -> harness.CampaignConfig:
     }
     if args.sigma:
         sigmas = _parse_list("--sigma", args.sigma)
+        if len(sigmas) > 1 and args.command != "features":
+            raise ContractError(
+                f"--sigma: only features takes a list, {args.command} takes one "
+                f"value, got {args.sigma!r}"
+            )
         overrides["sigma"] = sigmas[0]
         overrides["sigmas"] = sigmas if len(sigmas) > 1 else None
     if args.no_feature_scaling:

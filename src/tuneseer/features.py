@@ -3,8 +3,9 @@
 A function is characterised by three numbers: its dimension, and the
 interquartile range and skewness of its z-scored sample values.  The IQR
 flags near-flat topology; the skew captures value asymmetry (sharp optima,
-heavy tails).  Sampling cost is charged to the instance's evaluation counter,
-so downstream performance accounting sees it.
+heavy tails).  ``extract_features(instance, sigma, seed)`` draws the sample
+and alone checks that sigma >= 2.  Sampling cost is charged to the
+instance's evaluation counter, so downstream performance accounting sees it.
 """
 
 from __future__ import annotations
@@ -27,18 +28,6 @@ class FeatureVector:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.beta1, self.beta2, self.beta3])
-
-
-@dataclass(frozen=True)
-class FeatureConfig:
-    """sigma: number of domain samples; seed: stream for the sample design."""
-
-    sigma: int
-    seed: int
-
-    def __post_init__(self):
-        if self.sigma < 2:
-            raise ContractError(f"sigma must be >= 2, got {self.sigma}")
 
 
 def iqr(values) -> float:
@@ -70,17 +59,21 @@ def skew(values) -> float:
     return float(m3 / m2**1.5)
 
 
-def extract_features(instance, cfg: FeatureConfig) -> FeatureVector:
+def extract_features(instance, sigma: int, seed: int) -> FeatureVector:
     """Sample the instance sigma times over its domain and summarise.
 
-    Values are z-scored (sample standard deviation, ddof=1) before the IQR
-    and skew are taken; a zero-variance sample yields (D, 0, 0) so flat
-    functions land together.  Consumes exactly sigma evaluations.
+    ``seed`` picks the stream of the sample design.  Values are z-scored
+    (sample standard deviation, ddof=1) before the IQR and skew are taken; a
+    zero-variance sample yields (D, 0, 0) so flat functions land together.
+    Consumes exactly sigma evaluations; a sigma below 2 is rejected before
+    any.
     """
-    rng = substream(cfg.seed, "features")
+    if sigma < 2:
+        raise ContractError(f"sigma must be >= 2, got {sigma}")
+    rng = substream(seed, "features")
     domain = instance.domain
     values = instance.evaluate_batch(
-        latin_hypercube(cfg.sigma, domain.lower, domain.upper, rng)
+        latin_hypercube(sigma, domain.lower, domain.upper, rng)
     )
     sd = float(np.std(values, ddof=1))
     d = float(instance.dimension)

@@ -37,7 +37,7 @@ from .bench import (
 )
 from .cluster import ClusterModel
 from .errors import ContractError
-from .features import FeatureConfig, FeatureVector, extract_features
+from .features import FeatureVector, extract_features
 from .metric import compute_alpha
 from .predictor import (
     TrainingStore,
@@ -596,9 +596,7 @@ def cmd_features(config: CampaignConfig) -> str:
                 seed,
                 sigma,
             )
-            beta = extract_features(
-                make_instance(spec, inst), FeatureConfig(sigma=sigma, seed=item_seed)
-            )
+            beta = extract_features(make_instance(spec, inst), sigma, item_seed)
             group.append((sigma, spec.function_id, spec.dimension, inst, seed, beta))
         points = np.array([beta.as_array() for *_, beta in group])
         model = cluster.fit(
@@ -632,17 +630,23 @@ def cmd_recommend(
     """One-shot recommendation from a stored training set.
 
     Give either an explicit feature triple or a (function, dim, instance) to
-    sample features from.
+    sample features from; ``seed`` is the feature sample's seed.  The store
+    is fitted (fit seed 0) before any feature is sampled, so an empty store
+    fails without evaluating the objective.
     """
-    store = TrainingStore.load(store_path)
-    if beta is not None:
-        beta_vec = FeatureVector(*[float(b) for b in beta])
-    else:
+    instance = None
+    if beta is None:
         if function_id is None or dim is None:
             raise ContractError("recommend needs either --beta or --function/--dim")
         instance = make_instance(ObjectiveSpec(function_id, dim), instance_seed)
-        beta_vec = extract_features(instance, FeatureConfig(sigma=sigma, seed=seed))
-    params, cluster_idx = predictor.recommend(store, kappa, beta_vec, scale=scale)
+    model, table = predictor.recommendation_table(
+        TrainingStore.load(store_path), kappa, scale=scale
+    )
+    if instance is None:
+        beta_vec = FeatureVector(*[float(b) for b in beta])
+    else:
+        beta_vec = extract_features(instance, sigma, seed)
+    params, cluster_idx = predictor.recommend(model, table, beta_vec)
     result = {
         "p1": params.p1,
         "p2": params.p2,

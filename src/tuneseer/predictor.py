@@ -7,10 +7,12 @@ the new function's features are classified, and the mean parameter triple of
 the top 10% of that cluster's records (ranked by score) is returned.
 
 ``recommendation_table`` fits the clustering and builds that per-cluster
-table; ``run_predictive`` makes one on-line run with the frozen (model,
-table) pair and returns the run's record.  A comparison appends those
-records to the store and, in per-run mode, refits the pair after every run,
-so the memory extends across the whole history of using the tool.
+table once; ``recommend(model, table, beta)`` is the one step from a feature
+vector to a cluster and its triple, and fits nothing.  ``run_predictive``
+makes one on-line run with the frozen (model, table) pair and returns the
+run's record.  A comparison appends those records to the store and, in
+per-run mode, refits the pair after every run, so the memory extends across
+the whole history of using the tool.
 """
 
 from __future__ import annotations
@@ -27,16 +29,9 @@ import numpy as np
 from . import cluster, de
 from .bench import ObjectiveSpec, make_instance
 from .errors import ContractError, NoDataError
-from .features import FeatureConfig, FeatureVector, extract_features
+from .features import FeatureVector, extract_features
 from .metric import PerformanceScore, compute_alpha
-from .sampling import (
-    DEFAULT_PARAM_RANGES,
-    MIN_POP_SIZE,
-    ControlParams,
-    derive_seed,
-    lhs_params,
-    substream,
-)
+from .sampling import MIN_POP_SIZE, ControlParams, derive_seed, lhs_params, substream
 
 TOP_FRACTION = 0.1
 
@@ -211,16 +206,14 @@ def recommendation_table(
 
 
 def recommend(
-    store: TrainingStore,
-    kappa: int,
-    beta_new: FeatureVector,
-    seed: int = 0,
-    scale: bool = True,
+    model: cluster.ClusterModel,
+    table: dict[int, ControlParams],
+    beta: FeatureVector,
 ) -> tuple[ControlParams, int]:
-    """Classify the new feature vector and return the mean parameters of the
-    matching cluster's top 10% records by score."""
-    model, table = recommendation_table(store, kappa, seed=seed, scale=scale)
-    assigned = int(model.classify(beta_new.as_array()))
+    """Classify ``beta`` with the fitted pair that ``recommendation_table``
+    returns: the matching cluster's top-10% mean parameters, and the
+    cluster."""
+    assigned = int(model.classify(beta.as_array()))
     return table[assigned], assigned
 
 
@@ -232,7 +225,7 @@ def _featured_run(
     cost; the record stores ``run_seed``."""
     if budget <= sigma:
         raise ContractError(f"budget {budget} must exceed sigma {sigma}")
-    beta = extract_features(instance, FeatureConfig(sigma=sigma, seed=seed))
+    beta = extract_features(instance, sigma, seed)
     params = choose(beta)
     trace = de.optimize(instance, params, budget - sigma, seed)
     score = compute_alpha(trace)
@@ -286,12 +279,12 @@ def build_training_set(
     budget: int,
     n_param_sets: int = 30,
     instance_seeds=(1,),
-    param_ranges=DEFAULT_PARAM_RANGES,
     campaign_seed: int = 0,
     workers: int = 1,
 ) -> TrainingStore:
-    """Off-line campaign: a fresh LHS of parameter triples per (function,
-    dimension), each run on every instance and seed.
+    """Off-line campaign: a fresh LHS of parameter triples over
+    ``DEFAULT_PARAM_RANGES`` per (function, dimension), each run on every
+    instance and seed.
 
     Every run extracts features first (sigma evaluations) and optimizes with
     the remaining budget, so stored scores include the sampling cost.
@@ -303,7 +296,7 @@ def build_training_set(
         design_rng = substream(
             campaign_seed, "param-design", spec.function_id, spec.dimension
         )
-        param_sets = lhs_params(n_param_sets, design_rng, ranges=param_ranges)
+        param_sets = lhs_params(n_param_sets, design_rng)
         for inst_seed in instance_seeds:
             for param_idx, params in enumerate(param_sets):
                 for run_seed in seeds:
@@ -340,12 +333,13 @@ def run_predictive(
     """One on-line use of the methodology on a new instance.
 
     Features are extracted from a fresh sample (sigma evaluations charged to
-    the instance) and classified with ``model``; the optimizer runs with the
-    cluster's ``table`` entry on the remaining budget, and the score covers
-    the combined cost.  ``(model, table)`` is what ``recommendation_table``
-    returns; the record stores ``seed`` as its run seed.
+    the instance) and ``recommend`` maps them to their cluster's ``table``
+    entry; the optimizer runs with it on the remaining budget, and the score
+    covers the combined cost.  ``(model, table)`` is what
+    ``recommendation_table`` returns; the record stores ``seed`` as its run
+    seed.
     """
-    def choose(beta: FeatureVector) -> ControlParams:
-        return table[model.classify(beta.as_array())]
-
-    return _featured_run(instance, choose, sigma, budget, seed=seed, run_seed=seed)
+    return _featured_run(
+        instance, lambda beta: recommend(model, table, beta)[0], sigma, budget,
+        seed=seed, run_seed=seed,
+    )

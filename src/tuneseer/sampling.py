@@ -98,20 +98,16 @@ def latin_hypercube(n: int, lower, upper, rng: np.random.Generator) -> np.ndarra
     return lower + unit * (upper - lower)
 
 
-def lhs_params(
-    n: int,
-    rng: np.random.Generator,
-    ranges=DEFAULT_PARAM_RANGES,
-) -> list[ControlParams]:
+def lhs_params(n: int, rng: np.random.Generator) -> list[ControlParams]:
     """Latin hypercube design of n control-parameter triples.
 
-    The design is stratified in the continuous (p1, p2, p3) box; p3 is then
-    rounded to the nearest integer and clamped to >= 5.
+    The design is stratified in the continuous ``DEFAULT_PARAM_RANGES`` box;
+    p3 is then rounded half up to an integer, which the range's lower end of
+    10 keeps above ``MIN_POP_SIZE``.
     """
-    lower = [r[0] for r in ranges]
-    upper = [r[1] for r in ranges]
+    lower, upper = zip(*DEFAULT_PARAM_RANGES)
     out = []
     for row in latin_hypercube(n, lower, upper, rng):
-        p3 = max(MIN_POP_SIZE, int(math.floor(row[2] + 0.5)))
+        p3 = int(math.floor(row[2] + 0.5))
         out.append(ControlParams(p1=float(row[0]), p2=float(row[1]), p3=p3))
     return out

@@ -15,7 +15,7 @@ import pytest
 from tuneseer import cluster, stats
 from tuneseer.bench import ObjectiveSpec, make_instance
 from tuneseer.de import RunTrace, optimize
-from tuneseer.features import FeatureConfig, FeatureVector, extract_features, iqr, skew
+from tuneseer.features import FeatureVector, extract_features, iqr, skew
 from tuneseer.harness import CampaignConfig, cmd_compare, cmd_train
 from tuneseer.metric import compute_alpha
 from tuneseer.predictor import (
@@ -66,13 +66,12 @@ def test_criterion_2_feature_oracles():
     for a in (0.5, 2.0, 11.0):
         assert abs(skew([-a, 0.0, a])) <= 1e-12
     rng = np.random.default_rng(0)
-    cfg = FeatureConfig(sigma=64, seed=5)
     for _ in range(100):
         scale = float(rng.uniform(0.1, 10.0))
         offset = float(rng.uniform(-100.0, 100.0))
         inst_seed = int(rng.integers(0, 10))
         base = extract_features(
-            make_instance(ObjectiveSpec("rastrigin", 3), inst_seed), cfg
+            make_instance(ObjectiveSpec("rastrigin", 3), inst_seed), 64, 5
         )
         wrapped = extract_features(
             _AffineObjective(
@@ -80,7 +79,8 @@ def test_criterion_2_feature_oracles():
                 scale,
                 offset,
             ),
-            cfg,
+            64,
+            5,
         )
         assert abs(base.beta2 - wrapped.beta2) < 1e-10
         assert abs(base.beta3 - wrapped.beta3) < 1e-10
@@ -295,7 +295,7 @@ def test_criterion_8_predictor_arithmetic():
         rec(0.9 - 0.05 * i, 0.8, 200 + i, (20.0, 2.0 + 0.01 * i, -0.5), float(i), i)
         for i in range(17)
     ]
-    store = TrainingStore(low + high)
+    model, table = recommendation_table(TrainingStore(low + high), kappa=2)
     for beta, group in [
         (FeatureVector(2.0, 1.05, 0.5), low),
         (FeatureVector(20.0, 2.05, -0.5), high),
@@ -307,7 +307,7 @@ def test_criterion_8_predictor_arithmetic():
             float(np.mean([t.params.p2 for t in top])),
             max(5, int(math.floor(np.mean([t.params.p3 for t in top]) + 0.5))),
         )
-        params, _ = recommend(store, kappa=2, beta_new=beta)
+        params, _ = recommend(model, table, beta)
         assert (params.p1, params.p2, params.p3) == want
 
     for m in range(1, 51):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from tuneseer.bench import ObjectiveInstance, ObjectiveSpec, make_instance
 from tuneseer.errors import ContractError
-from tuneseer.features import FeatureConfig, extract_features, iqr, skew
+from tuneseer.features import extract_features, iqr, skew
 
 
 def test_iqr_linear_interpolation_oracle():
@@ -76,20 +76,18 @@ class _AffineWrap:
 
 def test_affine_invariance_of_features():
     inst = make_instance(ObjectiveSpec("rastrigin", 3), 2)
-    cfg = FeatureConfig(sigma=200, seed=9)
-    base = extract_features(inst, cfg)
+    base = extract_features(inst, 200, 9)
     wrapped = _AffineWrap(make_instance(ObjectiveSpec("rastrigin", 3), 2), 3.7, -11.0)
-    other = extract_features(wrapped, cfg)
+    other = extract_features(wrapped, 200, 9)
     assert abs(base.beta2 - other.beta2) < 1e-12
     assert abs(base.beta3 - other.beta3) < 1e-12
 
 
 def test_negation_flips_skew_sign():
     inst = make_instance(ObjectiveSpec("sphere", 2), 3)
-    cfg = FeatureConfig(sigma=300, seed=4)
-    base = extract_features(inst, cfg)
+    base = extract_features(inst, 300, 4)
     neg = _AffineWrap(make_instance(ObjectiveSpec("sphere", 2), 3), -1.0, 0.0)
-    flipped = extract_features(neg, cfg)
+    flipped = extract_features(neg, 300, 4)
     assert abs(base.beta2 - flipped.beta2) < 1e-12
     assert abs(base.beta3 + flipped.beta3) < 1e-12
 
@@ -109,36 +107,34 @@ class _ConstantObjective:
 
 def test_constant_function_features():
     obj = _ConstantObjective(4)
-    beta = extract_features(obj, FeatureConfig(sigma=50, seed=0))
+    beta = extract_features(obj, 50, 0)
     assert (beta.beta1, beta.beta2, beta.beta3) == (4.0, 0.0, 0.0)
 
 
 def test_budget_exactness():
     inst = make_instance(ObjectiveSpec("ackley", 3), 1)
     before = inst.eval_counter
-    extract_features(inst, FeatureConfig(sigma=123, seed=0))
+    extract_features(inst, 123, 0)
     assert inst.eval_counter - before == 123
 
 
 def test_deterministic_given_seed():
-    a = extract_features(
-        make_instance(ObjectiveSpec("griewank", 2), 1), FeatureConfig(100, seed=5)
-    )
-    b = extract_features(
-        make_instance(ObjectiveSpec("griewank", 2), 1), FeatureConfig(100, seed=5)
-    )
+    a = extract_features(make_instance(ObjectiveSpec("griewank", 2), 1), 100, 5)
+    b = extract_features(make_instance(ObjectiveSpec("griewank", 2), 1), 100, 5)
     assert a == b
 
 
 def test_beta1_is_dimension():
     inst = make_instance(ObjectiveSpec("sphere", 7), 1)
-    beta = extract_features(inst, FeatureConfig(sigma=20, seed=0))
+    beta = extract_features(inst, 20, 0)
     assert beta.beta1 == 7.0
 
 
 def test_sigma_lower_bound():
-    with pytest.raises(ContractError):
-        FeatureConfig(sigma=1, seed=0)
+    inst = make_instance(ObjectiveSpec("sphere", 2), 1)
+    with pytest.raises(ContractError, match="sigma must be >= 2, got 1"):
+        extract_features(inst, 1, 0)
+    assert inst.eval_counter == 0
 
 
 def test_sphere_iqr_against_monte_carlo_oracle():
@@ -154,7 +150,7 @@ def test_sphere_iqr_against_monte_carlo_oracle():
     assert abs(oracle - 1.51023) < 5e-3  # oracle itself is stable
 
     inst = make_instance(ObjectiveSpec("sphere", 2), 0)
-    beta = extract_features(inst, FeatureConfig(sigma=10_000, seed=7))
+    beta = extract_features(inst, 10_000, 7)
     assert abs(beta.beta2 - oracle) < 0.05
 
 

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 import tuneseer
 from tuneseer import cli, cluster, harness
 from tuneseer.bench import ObjectiveInstance, make_instance
-from tuneseer.errors import ContractError
-from tuneseer.features import FeatureConfig, extract_features
+from tuneseer.errors import ContractError, NoDataError
+from tuneseer.features import FeatureVector, extract_features
 from tuneseer.harness import (
     CampaignConfig,
     ComparisonReport,
@@ -27,8 +27,13 @@ from tuneseer.harness import (
     cmd_train,
     compute_wilcoxon_rows,
 )
-from tuneseer.predictor import TrainingStore, recommend
-from tuneseer.sampling import derive_seed
+from tuneseer.predictor import (
+    TrainingRecord,
+    TrainingStore,
+    recommend,
+    recommendation_table,
+)
+from tuneseer.sampling import ControlParams, derive_seed
 from tuneseer.stats import wilcoxon
 
 # budget must cover sigma plus the largest admissible population (500)
@@ -291,9 +296,7 @@ def test_cmd_features(trained):
                         sigma,
                     )
                     instance = make_instance(spec, inst)
-                    beta = extract_features(
-                        instance, FeatureConfig(sigma=sigma, seed=item_seed)
-                    )
+                    beta = extract_features(instance, sigma, item_seed)
                     head = (sigma, spec.function_id, spec.dimension, inst, seed)
                     group.append((head, beta))
         points = np.array([beta.as_array() for _, beta in group])
@@ -316,6 +319,101 @@ def test_cmd_recommend_with_explicit_beta(trained, capsys):
     assert 0.0 <= result["p1"] <= 1.0
     assert result["p3"] >= 5
     assert isinstance(result["cluster"], int)
+
+
+def _write_small_store(path):
+    """40 hand-made records over D = 2 and 10, saved as a training store."""
+    records = [
+        TrainingRecord(
+            params=ControlParams(p1=(i % 7) / 7, p2=0.1 + (i % 5) / 5, p3=10 + 11 * i),
+            features=FeatureVector(
+                2.0 if i % 2 else 10.0, 0.2 + (i * 37 % 11) / 10, (i * 13 % 9) / 4 - 1
+            ),
+            alpha=float(i * 29 % 17),
+            function_id="sphere",
+            dim=2 if i % 2 else 10,
+            instance_seed=1,
+            run_seed=i,
+            sigma=50,
+            timestamp="2026-01-01T00:00:00+00:00",
+        )
+        for i in range(40)
+    ]
+    TrainingStore(records).save(path)
+
+
+@pytest.mark.parametrize(
+    "args,printed",
+    [
+        (
+            ["--beta", "2,1.1,0.3"],
+            '{"p1": 0.21428571428571427, "p2": 0.4, "p3": 219, "cluster": 1, '
+            '"beta1": 2.0, "beta2": 1.1, "beta3": 0.3}',
+        ),
+        (
+            ["--function", "rastrigin", "--dim", "2", "--sigma", "200", "--seed", "3"],
+            '{"p1": 0.21428571428571427, "p2": 0.4, "p3": 219, "cluster": 1, '
+            '"beta1": 2.0, "beta2": 1.415389939526374, "beta3": 0.1261047848500997}',
+        ),
+        (
+            ["--function", "sphere", "--dim", "10", "--sigma", "100", "--seed", "1"],
+            '{"p1": 0.5, "p2": 0.9, "p3": 164, "cluster": 2, '
+            '"beta1": 10.0, "beta2": 1.275584902303781, "beta3": 0.3174355501862964}',
+        ),
+    ],
+)
+def test_cli_recommend_prints_pinned_json(tmp_path, capsys, args, printed):
+    # each line was printed by the earlier recommend, which refitted on every
+    # call; instance 0 is the identity, so the features are BLAS-independent
+    store = tmp_path / "store.jsonl"
+    _write_small_store(store)
+    assert cli.main(["recommend", "--store", str(store), "--kappa", "3", *args]) == 0
+    assert capsys.readouterr().out == printed + "\n"
+
+
+def test_recommend_fits_the_store_before_sampling_features(tmp_path, capsys, monkeypatch):
+    store = tmp_path / "empty.jsonl"
+    store.write_text("")
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return extract_features(*args)
+
+    monkeypatch.setattr(harness, "extract_features", spy)
+    with pytest.raises(NoDataError):
+        cmd_recommend(str(store), 10, function_id="rastrigin", dim=20, sigma=1000)
+    argv = ["recommend", "--store", str(store), "--function", "rastrigin", "--dim", "20"]
+    assert cli.main([*argv, "--sigma", "1000"]) == 1
+    message = f"error: cannot recommend from an empty training store {store}\n"
+    assert capsys.readouterr().err == message
+    assert calls == []
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_sigma_list_rejected_outside_features(trained, tmp_path, capsys, monkeypatch, command):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(harness, "build_training_set", no_run)
+    monkeypatch.setattr(harness, "pool_map", no_run)
+    # compare reads the trained store; train would write a fresh one
+    store = trained[2] if command == "compare" else str(tmp_path / "store.jsonl")
+    out = tmp_path / "out"
+    argv = compare_argv(store, out, "literature", 1600, sigma="50,60")
+    argv[0] = command
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --sigma: ") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+
+def test_features_keeps_its_sigma_list(trained, tmp_path):
+    out = tmp_path / "out"
+    argv = compare_argv(trained[2], out, "literature", 1600, sigma="20,50")
+    argv[0] = "features"
+    assert cli.main(argv) == 0
+    assert {r["sigma"] for r in read_rows(out / "features.csv")} == {"20", "50"}
 
 
 def test_cmd_report_rederives_wilcoxon(trained):
@@ -582,13 +680,13 @@ def test_predictive_rows_replay_the_store(trained, retrain):
     memory = TrainingStore(start)
     for record in new:
         row = rows[(record.function_id, record.dim, record.instance_seed, record.run_seed)]
-        params, _ = recommend(
+        fitted = recommendation_table(
             memory,
             config.kappa,
-            record.features,
             seed=config.campaign_seed,
             scale=config.feature_scaling,
         )
+        params, _ = recommend(*fitted, record.features)
         assert record.params == params
         want = (repr(params.p1), repr(params.p2), str(params.p3))
         assert (row["p1"], row["p2"], row["p3"]) == want

@@ -13,7 +13,7 @@ from tuneseer import predictor
 from tuneseer.bench import ObjectiveSpec, make_instance, training_suite
 from tuneseer.cluster import ClusterModel, FeatureScaler
 from tuneseer.errors import ContractError, NoDataError
-from tuneseer.features import FeatureConfig, FeatureVector, extract_features
+from tuneseer.features import FeatureVector, extract_features
 from tuneseer.predictor import (
     TrainingRecord,
     TrainingStore,
@@ -70,22 +70,24 @@ def test_top_set_size_rule():
 
 def test_recommend_matches_bruteforce_per_cluster():
     store, low, high = synthetic_store()
+    model, table = recommendation_table(store, kappa=2)
     for beta, group in [
         (FeatureVector(2.0, 1.05, 0.5), low),
         (FeatureVector(20.0, 2.05, -0.5), high),
     ]:
-        params, cluster_idx = recommend(store, kappa=2, beta_new=beta)
+        params, cluster_idx = recommend(model, table, beta)
         want = bruteforce_recommendation(group)
         assert (params.p1, params.p2, params.p3) == want
 
 
 def test_recommendation_containment():
     store, low, high = synthetic_store()
+    model, table = recommendation_table(store, kappa=2)
     for beta, group in [
         (FeatureVector(2.0, 1.0, 0.5), low),
         (FeatureVector(20.0, 2.0, -0.5), high),
     ]:
-        params, _ = recommend(store, kappa=2, beta_new=beta)
+        params, _ = recommend(model, table, beta)
         ranked = sorted(group, key=lambda a: -a[4])
         top = ranked[: max(1, math.ceil(0.1 * len(group)))]
         for coord, values in [
@@ -99,8 +101,8 @@ def test_recommendation_containment():
 def test_single_dominant_record_wins_small_cluster():
     # top-10% of m <= 10 is exactly one record
     records = [rec(0.1 * i, 0.5, 10 + i, (2.0, 1.0, 0.0), float(i)) for i in range(8)]
-    store = TrainingStore(records)
-    params, _ = recommend(store, kappa=1, beta_new=FeatureVector(2.0, 1.0, 0.0))
+    fitted = recommendation_table(TrainingStore(records), kappa=1)
+    params, _ = recommend(*fitted, FeatureVector(2.0, 1.0, 0.0))
     assert (params.p1, params.p2, params.p3) == (0.1 * 7, 0.5, 17)
 
 
@@ -109,16 +111,17 @@ def test_alpha_tie_breaks_by_insertion_order():
         rec(0.2, 0.5, 10, (2.0, 1.0, 0.0), 5.0, seed=0),
         rec(0.8, 0.5, 40, (2.0, 1.0, 0.0), 5.0, seed=1),
     ] + [rec(0.5, 0.5, 20, (2.0, 1.0, 0.0), 1.0, seed=s) for s in range(2, 11)]
-    store = TrainingStore(records)
-    params, _ = recommend(store, kappa=1, beta_new=FeatureVector(2.0, 1.0, 0.0))
+    fitted = recommendation_table(TrainingStore(records), kappa=1)
+    params, _ = recommend(*fitted, FeatureVector(2.0, 1.0, 0.0))
     # 11 records -> top set of 2: both alpha-5 records, in insertion order
     assert params.p1 == pytest.approx(0.5)
     assert params.p3 == 25
 
 
 def test_recommend_empty_store_rejected():
+    # the fit owns the empty-store check, so no pair exists to recommend from
     with pytest.raises(NoDataError):
-        recommend(TrainingStore(), 1, FeatureVector(2.0, 1.0, 0.0))
+        recommendation_table(TrainingStore(), 1)
 
 
 def test_recommendation_table_rejects_kappa_below_one():
@@ -130,9 +133,8 @@ def test_recommendation_table_rejects_kappa_below_one():
 def test_kappa_clamped_to_record_count(caplog):
     store = TrainingStore([rec(0.3, 0.6, 30, (2.0, 1.0, 0.0), 1.0)])
     with caplog.at_level(logging.WARNING):
-        params, cluster_idx = recommend(
-            store, kappa=10, beta_new=FeatureVector(2.0, 1.0, 0.0)
-        )
+        fitted = recommendation_table(store, kappa=10)
+    params, cluster_idx = recommend(*fitted, FeatureVector(2.0, 1.0, 0.0))
     # the clamp has one owner, cluster.fit, and warns once
     assert [r.name for r in caplog.records] == ["tuneseer.cluster"]
     assert cluster_idx == 0
@@ -276,25 +278,13 @@ def test_load_names_path_and_line_of_bad_record(tmp_path, bad_line, reason):
 
 def test_build_training_set_counts_and_determinism():
     suite = [ObjectiveSpec("sphere", 2)]
-    ranges = ((0.0, 1.0), (0.1, 1.0), (10.0, 60.0))  # keep p3 below the budget
+    # the budget covers sigma plus the design's largest population (500)
     store = build_training_set(
-        suite,
-        sigma=50,
-        seeds=(0,),
-        budget=500,
-        n_param_sets=30,
-        instance_seeds=(1,),
-        param_ranges=ranges,
+        suite, sigma=50, seeds=(0,), budget=550, n_param_sets=30, instance_seeds=(1,)
     )
     assert len(store) == 30
     again = build_training_set(
-        suite,
-        sigma=50,
-        seeds=(0,),
-        budget=500,
-        n_param_sets=30,
-        instance_seeds=(1,),
-        param_ranges=ranges,
+        suite, sigma=50, seeds=(0,), budget=550, n_param_sets=30, instance_seeds=(1,)
     )
     strip = lambda r: (r.params, r.features, r.alpha, r.function_id, r.dim)
     assert [strip(r) for r in store.records] == [strip(r) for r in again.records]
@@ -337,11 +327,9 @@ def test_run_predictive_uses_fresh_features():
     _, _, record = run_predictive(
         instance, model, table, sigma=300, budget=1500, seed=5
     )
-    fresh = extract_features(
-        make_instance(ObjectiveSpec("ackley", 2), 9), FeatureConfig(300, seed=5)
-    )
+    fresh = extract_features(make_instance(ObjectiveSpec("ackley", 2), 9), 300, 5)
     assert record.features == fresh
-    assert record.params == recommend(store, kappa=2, beta_new=fresh)[0]
+    assert record.params == recommend(model, table, fresh)[0]
 
 
 def test_run_predictive_validates_budget():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -85,13 +87,16 @@ def test_stratification_property(n, d, seed):
 
 def test_lhs_params_ranges_and_count():
     params = lhs_params(30, make_rng(2))
+    lower, upper = zip(*DEFAULT_PARAM_RANGES)
+    design = latin_hypercube(30, lower, upper, make_rng(2))
     assert len(params) == 30
     assert len(set(params)) == 30
-    for p in params:
-        assert 0.0 <= p.p1 <= 1.0
+    for p, row in zip(params, design):
+        assert (p.p1, p.p2) == (row[0], row[1])
         assert DEFAULT_PARAM_RANGES[1][0] <= p.p2 <= DEFAULT_PARAM_RANGES[1][1]
         assert isinstance(p.p3, int)
-        assert 5 <= p.p3 <= 500
+        assert p.p3 == math.floor(row[2] + 0.5)
+        assert 10 <= p.p3 <= 500
 
 
 def test_lhs_params_single_draw_inside_ranges():
@@ -103,11 +108,6 @@ def test_lhs_params_single_draw_inside_ranges():
 
 def test_lhs_params_deterministic():
     assert lhs_params(12, make_rng(4)) == lhs_params(12, make_rng(4))
-
-
-def test_lhs_params_rounds_and_clamps_p3():
-    params = lhs_params(8, make_rng(1), ranges=((0, 1), (0.1, 1.0), (1.0, 4.0)))
-    assert all(p.p3 == 5 for p in params)
 
 
 def test_control_params_validation():
