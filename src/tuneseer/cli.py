@@ -2,8 +2,9 @@
 
 Subcommands: train, compare, features, recommend, report.  Options can come
 from a JSON config file (--config); explicit flags override config keys.
-Exit codes: 0 success, 1 contract/config error (a malformed flag value is
-reported as ``error: <flag>: ...``), 2 I/O error.
+Every flag value, an empty one too, is read by ``_parse``.  Exit codes: 0
+success, 1 contract/config error (a malformed or empty flag value is
+reported as ``error: <flag>: ...``), 2 I/O error or argparse usage error.
 """
 
 from __future__ import annotations
@@ -11,96 +12,113 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from . import harness
 from .errors import ContractError
 
 
-def _parse_list(flag: str, text: str, convert=int) -> tuple:
-    """Comma-separated values; a malformed or empty list is a config error."""
+def _parse(flag: str, text: str, convert):
+    """``convert(text)``, a ``ValueError`` reported as a config error."""
     try:
-        values = tuple(convert(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        values = ()
+        return convert(text)
+    except ValueError as exc:
+        raise ContractError(f"{flag}: {exc}") from None
+
+
+def _text(text: str) -> str:
+    if not text.strip():
+        raise ValueError(f"expected a value, got {text!r}")
+    return text
+
+
+def _list(text: str, convert=int) -> tuple:
+    """Comma-separated values, empty parts skipped; at least one."""
+    values = tuple(convert(part) for part in text.split(",") if part.strip())
     if not values:
-        raise ContractError(f"{flag}: expected a comma-separated list, got {text!r}")
+        raise ValueError(f"expected a comma-separated list, got {text!r}")
     return values
 
 
-def _parse_seeds(flag: str, text: str) -> tuple:
-    """Either a count ('30' -> seeds 0..29) or an explicit comma list."""
-    values = _parse_list(flag, text)
+def _seeds(text: str) -> tuple:
+    """Either a count ('30' -> seeds 0..29) or, with a comma, a list."""
+    values = _list(text)
     return values if "," in text else tuple(range(values[0]))
 
 
-def _add_campaign_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON config file; flags override its keys")
-    sub.add_argument("--suite", choices=["training", "holdout"])
-    sub.add_argument("--dims", help="comma-separated dimensions, e.g. 2,10,20")
-    sub.add_argument("--instances", type=int, help="instance count per function")
-    sub.add_argument("--seeds", help="seed count or comma list (comparison runs)")
-    sub.add_argument("--train-seeds", help="seed count or comma list (training runs)")
-    sub.add_argument("--budget", type=int)
-    sub.add_argument(
-        "--sigma", help="feature sample count; comma list allowed for `features`"
-    )
-    sub.add_argument("--kappa", type=int)
-    sub.add_argument("--n-param-sets", type=int)
-    sub.add_argument("--methods", help="comma list from: " + ",".join(harness.METHOD_ORDER))
-    sub.add_argument("--out", help="output directory (default $TUNESEER_DATA or ./runs)")
-    sub.add_argument("--store", help="training store path (default <out>/store.jsonl)")
-    sub.add_argument("--workers", type=int)
-    sub.add_argument(
-        "--no-feature-scaling",
-        action="store_true",
-        help="cluster raw features instead of z-scored ones",
-    )
-    sub.add_argument("--retrain", choices=["per-run", "per-batch"])
-    sub.add_argument("--campaign-seed", type=int)
-    sub.add_argument(
-        "--paper-instances",
-        action="store_true",
-        help="compare on the training instance seeds instead of fresh ones",
-    )
+def _beta(text: str) -> tuple:
+    beta = _list(text, float)
+    if len(beta) != 3:
+        raise ValueError("needs exactly three values")
+    return beta
+
+
+# (flag, CampaignConfig key, converter, help); a bool converter marks a switch
+# that sets its key to that value.  --config is the file the others override;
+# a --sigma list sets sigma to its first value and, if longer, sigmas to all.
+_CAMPAIGN_FLAGS = (
+    ("--config", "config", _text, "JSON config file; flags override its keys"),
+    ("--suite", "suite", _text, "training|holdout"),
+    ("--dims", "dims", _list, "comma-separated dimensions, e.g. 2,10,20"),
+    ("--instances", "instances", int, "instance count per function"),
+    ("--seeds", "seeds", _seeds, "seed count or comma list (comparison runs)"),
+    ("--train-seeds", "train_seeds", _seeds, "seed count or comma list (training runs)"),
+    ("--budget", "budget", int, "evaluations per run, feature sample included"),
+    ("--sigma", "sigma", _list, "feature sample count; a comma list for features only"),
+    ("--kappa", "kappa", int, "cluster count"),
+    ("--n-param-sets", "n_param_sets", int, "parameter triples per training key"),
+    ("--methods", "methods", partial(_list, convert=str),
+     "comma list from: " + ",".join(harness.METHOD_ORDER)),
+    ("--out", "out", _text, "output directory (default $TUNESEER_DATA or ./runs)"),
+    ("--store", "store_path", _text, "training store path (default <out>/store.jsonl)"),
+    ("--workers", "workers", int, "worker processes"),
+    ("--no-feature-scaling", "feature_scaling", False, "skip z-scoring the features"),
+    ("--retrain", "retrain", _text, "per-run|per-batch"),
+    ("--campaign-seed", "campaign_seed", int, "seed of every run's random stream"),
+    ("--paper-instances", "paper_instances", True, "reuse the training instance seeds"),
+)
+
+# (flag, cmd_recommend keyword, converter, help); defaults are cmd_recommend's
+_RECOMMEND_FLAGS = (
+    ("--store", "store_path", _text, "training store path"),
+    ("--kappa", "kappa", int, "cluster count"),
+    ("--beta", "beta", _beta, "explicit feature triple, e.g. 10,1.3,0.2"),
+    ("--function", "function_id", _text, "sample features from this function id"),
+    ("--dim", "dim", int, "dimension of --function"),
+    ("--instance", "instance_seed", int, "instance seed of --function"),
+    ("--sigma", "sigma", int, "feature sample count"),
+    ("--seed", "seed", int, "feature sample seed"),
+    ("--no-feature-scaling", "scale", False, "skip z-scoring the features"),
+)
+
+
+def _add_flags(sub: argparse.ArgumentParser, rows, required=()) -> None:
+    for flag, key, convert, doc in rows:
+        if isinstance(convert, bool):
+            sub.add_argument(flag, dest=key, action="store_const", const=convert, help=doc)
+        else:
+            sub.add_argument(flag, dest=key, help=doc, required=flag in required)
+
+
+def _values(args: argparse.Namespace, rows) -> dict:
+    """``{key: value}`` of every flag in ``rows`` that was given."""
+    values = {}
+    for flag, key, convert, _ in rows:
+        value = getattr(args, key)
+        if isinstance(value, str):
+            value = _parse(flag, value, convert)
+        if value is not None:
+            values[key] = value
+    return values
 
 
 def _campaign_config(args: argparse.Namespace) -> harness.CampaignConfig:
-    config = (
-        harness.CampaignConfig.from_file(args.config)
-        if args.config
-        else harness.CampaignConfig()
-    )
-    overrides = {
-        "suite": args.suite,
-        "dims": _parse_list("--dims", args.dims) if args.dims else None,
-        "instances": args.instances,
-        "seeds": _parse_seeds("--seeds", args.seeds) if args.seeds else None,
-        "train_seeds": (
-            _parse_seeds("--train-seeds", args.train_seeds) if args.train_seeds else None
-        ),
-        "budget": args.budget,
-        "kappa": args.kappa,
-        "n_param_sets": args.n_param_sets,
-        "methods": tuple(args.methods.split(",")) if args.methods else None,
-        "out": args.out,
-        "store_path": args.store,
-        "workers": args.workers,
-        "retrain": args.retrain,
-        "campaign_seed": args.campaign_seed,
-    }
-    if args.sigma:
-        sigmas = _parse_list("--sigma", args.sigma)
-        if len(sigmas) > 1 and args.command != "features":
-            raise ContractError(
-                f"--sigma: only features takes a list, {args.command} takes one "
-                f"value, got {args.sigma!r}"
-            )
-        overrides["sigma"] = sigmas[0]
-        overrides["sigmas"] = sigmas if len(sigmas) > 1 else None
-    if args.no_feature_scaling:
-        overrides["feature_scaling"] = False
-    if args.paper_instances:
-        overrides["paper_instances"] = True
+    overrides = _values(args, _CAMPAIGN_FLAGS)
+    path = overrides.pop("config", None)
+    config = harness.CampaignConfig.from_file(path) if path else harness.CampaignConfig()
+    if "sigma" in overrides:
+        sigmas = overrides["sigma"]
+        overrides.update(sigma=sigmas[0], sigmas=sigmas if len(sigmas) > 1 else None)
     return config.merged(overrides)
 
 
@@ -118,18 +136,10 @@ def build_parser() -> argparse.ArgumentParser:
         ("features", "emit the feature table with cluster assignments"),
     ]:
         sub = subs.add_parser(name, help=doc)
-        _add_campaign_flags(sub)
+        _add_flags(sub, _CAMPAIGN_FLAGS)
 
     rec = subs.add_parser("recommend", help="one-shot parameter recommendation")
-    rec.add_argument("--store", required=True)
-    rec.add_argument("--kappa", type=int, default=10)
-    rec.add_argument("--beta", help="explicit feature triple, e.g. 10,1.3,0.2")
-    rec.add_argument("--function", help="sample features from this function id")
-    rec.add_argument("--dim", type=int)
-    rec.add_argument("--instance", type=int, default=0)
-    rec.add_argument("--sigma", type=int, default=1000)
-    rec.add_argument("--seed", type=int, default=0)
-    rec.add_argument("--no-feature-scaling", action="store_true")
+    _add_flags(rec, _RECOMMEND_FLAGS, required=("--store",))
 
     rep = subs.add_parser("report", help="re-derive comparison tables from alpha.csv")
     rep.add_argument("--out", default=harness.default_out_dir())
@@ -140,31 +150,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "train":
-            harness.cmd_train(_campaign_config(args))
-        elif args.command == "compare":
-            harness.cmd_compare(_campaign_config(args))
-        elif args.command == "features":
-            harness.cmd_features(_campaign_config(args))
-        elif args.command == "recommend":
-            beta = None
-            if args.beta:
-                beta = _parse_list("--beta", args.beta, float)
-                if len(beta) != 3:
-                    raise ContractError("--beta: needs exactly three values")
-            harness.cmd_recommend(
-                store_path=args.store,
-                kappa=args.kappa,
-                beta=beta,
-                function_id=args.function,
-                dim=args.dim,
-                instance_seed=args.instance,
-                sigma=args.sigma,
-                seed=args.seed,
-                scale=not args.no_feature_scaling,
-            )
+        if args.command == "recommend":
+            harness.cmd_recommend(**_values(args, _RECOMMEND_FLAGS))
         elif args.command == "report":
-            harness.cmd_report(args.out)
+            harness.cmd_report(_parse("--out", args.out, _text))
+        else:  # train, compare, features
+            getattr(harness, f"cmd_{args.command}")(_campaign_config(args))
     except (ContractError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -52,6 +52,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ContractError
+from .metric import unscorable
 from .sampling import MIN_POP_SIZE, ControlParams, substream
 
 Q_GREEDY_MAX = 0.2
@@ -109,7 +110,8 @@ def evolve(
     observer: Optional[Callable[[GenerationStats], None]] = None,
 ) -> RunTrace:
     """Run the generation kernel until the next generation would exceed
-    ``budget`` optimizer-owned evaluations.
+    ``budget`` optimizer-owned evaluations.  A run whose first generation
+    has no score (``metric.unscorable``) stops after that generation.
 
     ``sample_cr_f(rng)`` returns this generation's per-individual crossover
     probabilities and weights.  ``observer`` (if given) sees the selection
@@ -141,7 +143,8 @@ def evolve(
     highs[pop_size : 2 * pop_size] = pop_size - 1
     highs[3 * pop_size :] = dim
 
-    while used + pop_size <= budget:
+    stop = unscorable(trace.best_value)  # no later generation can mend the start
+    while not stop and used + pop_size <= budget:
         gen += 1
         cr, f = sample_cr_f(rng)
 

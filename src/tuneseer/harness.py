@@ -104,9 +104,14 @@ _CONFIG_TYPES = {
         lambda v: isinstance(v, (tuple, list)) and all(map(_is_int, v)),
         "dims seeds train_seeds sigmas",
     ),
-    "a tuple of method names": (lambda v: isinstance(v, (tuple, list)), "methods"),
+    "a non-empty tuple from " + "|".join(METHOD_ORDER): (
+        lambda v: isinstance(v, (tuple, list)) and v and all(m in METHOD_ORDER for m in v),
+        "methods",
+    ),
     "a bool": (lambda v: isinstance(v, bool), "feature_scaling paper_instances"),
-    "a str": (lambda v: isinstance(v, (str, os.PathLike)), "suite retrain out store_path"),
+    "training|holdout": (lambda v: v in ("training", "holdout"), "suite"),
+    "per-run|per-batch": (lambda v: v in ("per-run", "per-batch"), "retrain"),
+    "a str": (lambda v: isinstance(v, (str, os.PathLike)), "out store_path"),
 }
 
 
@@ -125,7 +130,7 @@ class CampaignConfig:
     train_seeds: tuple = tuple(range(5))
     budget: int = 10_000
     sigma: int = 1000
-    sigmas: Optional[tuple] = None  # features command only
+    sigmas: Optional[tuple] = None  # features only; train and compare reject it
     kappa: int = 10
     n_param_sets: int = 30
     methods: tuple = METHOD_ORDER
@@ -146,30 +151,17 @@ class CampaignConfig:
                 optional = value is None and key in ("sigmas", "store_path")
                 if not (ok(value) or optional):
                     raise ContractError(f"{key} must be {what}, got {value!r}")
-        if self.suite not in ("training", "holdout"):
-            raise ContractError(f"suite must be training|holdout, got {self.suite!r}")
-        if not self.methods:
-            raise ContractError("methods must not be empty")
-        for m in self.methods:
-            if m not in METHOD_ORDER:
-                raise ContractError(f"unknown method {m!r}")
         # a repeat would run a key twice, or count its runs twice
         for key in ("dims", "seeds", "train_seeds", "sigmas", "methods"):
             values = getattr(self, key) or ()
             if len(set(values)) != len(values):
                 raise ContractError(f"{key} must hold distinct values, got {values!r}")
-        if self.retrain not in ("per-run", "per-batch"):
-            raise ContractError(f"retrain must be per-run|per-batch, got {self.retrain!r}")
         if not self.dims or min(self.dims) < 2:
             raise ContractError(f"every dimension must be >= 2, got dims={self.dims}")
-        if self.instances < 1:
-            raise ContractError("instances must be >= 1")
-        if self.kappa < 1:
-            raise ContractError(f"kappa must be >= 1, got {self.kappa}")
-        if self.workers < 1:
-            raise ContractError(f"workers must be >= 1, got {self.workers}")
-        if self.campaign_seed < 0:
-            raise ContractError(f"campaign_seed must be >= 0, got {self.campaign_seed}")
+        floors = {"instances": 1, "kappa": 1, "workers": 1, "campaign_seed": 0}
+        for key, floor in floors.items():
+            if getattr(self, key) < floor:
+                raise ContractError(f"{key} must be >= {floor}, got {getattr(self, key)}")
         for sigma in (self.sigma, *(self.sigmas or ())):
             if sigma < 2:
                 raise ContractError(f"sigma must be >= 2, got {sigma}")
@@ -179,6 +171,8 @@ class CampaignConfig:
     def from_file(cls, path: str) -> "CampaignConfig":
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ContractError(f"{path}: expected a JSON object, got {raw!r}")
         return cls().merged(raw)
 
     def merged(self, overrides: dict) -> "CampaignConfig":
@@ -188,8 +182,6 @@ class CampaignConfig:
             raise ContractError(f"unknown config keys: {sorted(unknown)}")
         clean = {}
         for key, value in overrides.items():
-            if value is None:
-                continue
             if isinstance(value, list):
                 value = tuple(value)
             clean[key] = value
@@ -241,6 +233,12 @@ def _require_budget(config: CampaignConfig, methods, store=None) -> None:
             )
 
 
+def _require_one_sigma(config: CampaignConfig) -> None:
+    """Reject, before any run, a sigma list given to train or compare."""
+    if config.sigmas is not None:
+        raise ContractError(f"sigmas: only features takes a list, got {config.sigmas}")
+
+
 def _require_seeds(seeds, name: str) -> None:
     """Reject an empty seed list before any run or file write."""
     if not seeds:
@@ -290,6 +288,7 @@ def _write_suite_json(out_dir: str, specs: list[ObjectiveSpec]) -> None:
 def cmd_train(config: CampaignConfig) -> str:
     """Run the off-line training campaign and persist the store."""
     config.validate()
+    _require_one_sigma(config)
     _require_seeds(config.train_seeds, "train_seeds")
     _require_budget(config, ("training",))
     specs = config.suite_specs()
@@ -480,6 +479,7 @@ def cmd_compare(config: CampaignConfig) -> ComparisonReport:
     the first batch, so they share its process pool too.
     """
     config.validate()
+    _require_one_sigma(config)
     _require_seeds(config.seeds, "seeds")
     predictive = METHOD_PREDICTIVE in config.methods
     specs = config.suite_specs()
@@ -618,12 +618,12 @@ def cmd_features(config: CampaignConfig) -> str:
 
 def cmd_recommend(
     store_path: str,
-    kappa: int,
+    kappa: int = CampaignConfig.kappa,
     beta: Optional[tuple] = None,
     function_id: Optional[str] = None,
     dim: Optional[int] = None,
     instance_seed: int = 0,
-    sigma: int = 1000,
+    sigma: int = CampaignConfig.sigma,
     seed: int = 0,
     scale: bool = True,
 ) -> dict:

@@ -32,6 +32,12 @@ class PerformanceScore:
     degenerate: bool = False
 
 
+def unscorable(first_best: float) -> bool:
+    """A first best value of NaN or +inf, from which alpha would be NaN.  NaN
+    enters only through the initial population: a NaN trial never wins."""
+    return math.isnan(first_best) or first_best == math.inf
+
+
 def compute_alpha(trace) -> PerformanceScore:
     """Score a run trace (any object with ``generations`` rows of
     (gen_index, cumulative_evals, best_value))."""
@@ -41,9 +47,7 @@ def compute_alpha(trace) -> PerformanceScore:
     g1, n1, f1 = gens[0]
     f_final = gens[-1][2]
 
-    if math.isnan(f1) or f1 == math.inf:
-        # NaN enters only through the initial population, because a NaN trial
-        # never wins selection; either start would score alpha = NaN
+    if unscorable(f1):
         raise ContractError(f"cannot score a run whose first best value is {f1}")
     if f1 <= 0.0:
         return PerformanceScore(alpha=0.0, g_star=g1, n_g=n1, degenerate=True)

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -169,9 +170,14 @@ def test_failed_runs_are_explicit_rows(trained, monkeypatch):
 
 def test_nan_objective_runs_are_failed_rows(trained, monkeypatch):
     out, _, _ = trained
-    monkeypatch.setattr(
-        ObjectiveInstance, "evaluate_batch", lambda self, points: np.full(len(points), np.nan)
-    )
+    charged = {}
+
+    def nan_objective(self, points):
+        fid = self.spec.function_id
+        charged[fid] = charged.get(fid, 0) + len(points)
+        return np.full(len(points), np.nan)
+
+    monkeypatch.setattr(ObjectiveInstance, "evaluate_batch", nan_objective)
     config = train_config(
         out,
         suite="holdout",
@@ -186,6 +192,8 @@ def test_nan_objective_runs_are_failed_rows(trained, monkeypatch):
     assert all(r["status"].startswith("failed: cannot score") for r in rows)
     assert all(r["alpha"] == "" for r in rows)
     assert report.n_failed == 6
+    # an unscorable start ends each run after its first generation: 10 D
+    assert charged == {r["function_id"]: 10 * 2 for r in rows}
 
 
 def test_self_comparison_is_null():
@@ -397,15 +405,34 @@ def test_sigma_list_rejected_outside_features(trained, tmp_path, capsys, monkeyp
 
     monkeypatch.setattr(harness, "build_training_set", no_run)
     monkeypatch.setattr(harness, "pool_map", no_run)
-    # compare reads the trained store; train would write a fresh one
-    store = trained[2] if command == "compare" else str(tmp_path / "store.jsonl")
-    out = tmp_path / "out"
-    argv = compare_argv(store, out, "literature", 1600, sigma="50,60")
-    argv[0] = command
-    assert cli.main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: --sigma: ") and err.count("\n") == 1
-    assert os.listdir(tmp_path) == []
+    message = "sigmas: only features takes a list"
+    # the same check meets a flag, a config file and a Python caller
+    for source in ("flag", "config", "python"):
+        work = tmp_path / source
+        work.mkdir()
+        # compare reads the trained store; train would write a fresh one
+        store = trained[2] if command == "compare" else str(work / "store.jsonl")
+        out = work / "out"
+        written = []
+        if source == "python":
+            run = cmd_train if command == "train" else cmd_compare
+            config = train_config(
+                out, suite="holdout", store_path=store, methods=("literature",), sigmas=(50, 60)
+            )
+            with pytest.raises(ContractError, match=message):
+                run(config)
+        else:
+            argv = compare_argv(store, out, "literature", 1600, sigma="50,60")
+            argv[0] = command
+            if source == "config":
+                written = ["config.json"]
+                (work / "config.json").write_text(json.dumps({"sigma": 50, "sigmas": [50, 60]}))
+                del argv[argv.index("--sigma") : argv.index("--sigma") + 2]
+                argv += ["--config", str(work / "config.json")]
+            assert cli.main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert os.listdir(work) == written
 
 
 def test_features_keeps_its_sigma_list(trained, tmp_path):
@@ -543,6 +570,7 @@ def test_cli_config_file_with_flag_override(tmp_path):
         ("features", "sigmas", [10, 1.5]),
         ("train", "feature_scaling", "no"),
         ("compare", "retrain", 1),
+        ("train", "budget", None),  # null is a value, not the default
     ],
 )
 def test_cli_config_file_type_errors(tmp_path, capsys, command, key, value):
@@ -553,6 +581,16 @@ def test_cli_config_file_type_errors(tmp_path, capsys, command, key, value):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["[]", "5", "null", '"sigma"'])
+def test_cli_config_file_must_hold_an_object(tmp_path, capsys, text):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(text)
+    assert cli.main(["train", "--config", str(config_path), "--out", str(tmp_path)]) == 1
+    expected = f"error: {config_path}: expected a JSON object, got {json.loads(text)!r}\n"
+    assert capsys.readouterr().err == expected
+    assert os.listdir(tmp_path) == ["config.json"]
 
 
 def test_every_config_key_has_a_checked_type():
@@ -590,6 +628,49 @@ def test_cli_module_entrypoint(tmp_path):
     )
     assert proc.returncode == 0
     assert "train" in proc.stdout and "compare" in proc.stdout
+
+
+# what `train|compare|features --help` listed before the flag table
+CAMPAIGN_HELP_FLAGS = (
+    "--config --suite --dims --instances --seeds --train-seeds --budget --sigma "
+    "--kappa --n-param-sets --methods --out --store --workers --no-feature-scaling "
+    "--retrain --campaign-seed --paper-instances"
+).split()
+
+
+@pytest.mark.parametrize("command", ["train", "compare", "features"])
+def test_campaign_help_lists_every_flag(capsys, command):
+    with pytest.raises(SystemExit) as done:
+        cli.build_parser().parse_args([command, "--help"])
+    assert done.value.code == 0
+    listed = re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.MULTILINE)
+    assert listed == CAMPAIGN_HELP_FLAGS and len(listed) == 18
+
+
+@pytest.mark.parametrize(
+    "flags,expected",
+    [
+        (["--dims", "2,,10"], dict(dims=(2, 10))),
+        (["--seeds", "30"], dict(seeds=tuple(range(30)))),
+        (["--seeds", "0,"], dict(seeds=(0,))),
+        (["--train-seeds", "3,1"], dict(train_seeds=(3, 1))),
+        (["--sigma", "50"], dict(sigma=50, sigmas=None)),
+        (["--sigma", "20,50"], dict(sigma=20, sigmas=(20, 50))),
+        # a flag overrides its config key, a single --sigma the sigmas list too
+        (["--config", "CONFIG", "--sigma", "30"], dict(sigma=30, sigmas=None)),
+        (["--config", "CONFIG", "--budget", "900"], dict(budget=900, sigmas=(20, 50))),
+        (["--methods", "shade,literature"], dict(methods=("shade", "literature"))),
+        (["--budget", "900", "--store", "s.jsonl"], dict(budget=900, store_path="s.jsonl")),
+        (["--no-feature-scaling"], dict(feature_scaling=False)),
+        (["--paper-instances"], dict(paper_instances=True)),
+    ],
+)
+def test_campaign_flags_set_config_keys(tmp_path, flags, expected):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"sigmas": [20, 50]}))
+    flags = [str(config_path) if f == "CONFIG" else f for f in flags]
+    args = cli.build_parser().parse_args(["features", *flags])
+    assert cli._campaign_config(args) == dataclasses.replace(CampaignConfig(), **expected)
 
 
 def test_unknown_config_key_rejected():
@@ -842,13 +923,29 @@ def test_empty_seeds_rejected_before_any_write(trained, tmp_path, command):
         ("train", "--sigma", ","),
         ("recommend", "--beta", "a,b,c"),
         ("recommend", "--beta", "1,2"),
+        ("compare", "--budget", "abc"),
+        ("train", "--workers", "1.5"),
+        ("features", "--kappa", "x"),
+        ("compare", "--campaign-seed", ""),
+        ("recommend", "--dim", "x"),
+        ("recommend", "--kappa", "q"),
+        ("recommend", "--sigma", "50,60"),
+        # a value that is given is parsed, so an empty one is malformed
+        ("compare", "--seeds", ""),
+        ("compare", "--dims", ""),
+        ("compare", "--sigma", ""),
+        ("compare", "--methods", ""),
+        ("train", "--out", ""),
+        ("compare", "--store", ""),
+        ("recommend", "--store", ""),
     ],
 )
 def test_cli_reports_malformed_flag_values(trained, tmp_path, capsys, command, flag, value):
     _, _, store_path = trained
     out = tmp_path / "out"
     rest = ["--store", store_path] if command == "recommend" else ["--out", str(out)]
-    assert cli.main([command, flag, value, *rest]) == 1
+    # argparse keeps the last value of a repeated flag
+    assert cli.main([command, *rest, flag, value]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag}: ") and err.count("\n") == 1
     assert not out.exists()
@@ -865,6 +962,8 @@ def test_cli_reports_malformed_flag_values(trained, tmp_path, capsys, command, f
         ("train", "--campaign-seed", "-1", "campaign_seed must be >= 0, got -1"),
         ("compare", "--campaign-seed", "-1", "campaign_seed must be >= 0, got -1"),
         ("features", "--campaign-seed", "-1", "campaign_seed must be >= 0, got -1"),
+        ("train", "--suite", "nope", "suite must be training|holdout, got 'nope'"),
+        ("compare", "--retrain", "nope", "retrain must be per-run|per-batch, got 'nope'"),
     ],
 )
 def test_config_rejected_before_any_write_keeping_the_store(
