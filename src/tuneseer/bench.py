@@ -53,25 +53,6 @@ class SearchDomain:
     lower: np.ndarray
     upper: np.ndarray
 
-    def __post_init__(self):
-        lower = np.asarray(self.lower, dtype=float)
-        upper = np.asarray(self.upper, dtype=float)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        if lower.shape != upper.shape or not np.all(lower < upper):
-            raise ContractError("domain requires lower[i] < upper[i]")
-
-    @property
-    def dimension(self) -> int:
-        return self.lower.size
-
-
-def domain_for(dimension: int) -> SearchDomain:
-    return SearchDomain(
-        lower=np.full(dimension, -DOMAIN_BOUND),
-        upper=np.full(dimension, DOMAIN_BOUND),
-    )
-
 
 # ---------------------------------------------------------------------------
 # Base functions.  Each takes an (n, D) array and returns (n,) values.
@@ -98,11 +79,13 @@ def _intrinsic_rotation(name: str, d: int) -> np.ndarray:
     return random_rotation(substream(0, "intrinsic-rotation", name, d), d)
 
 
-def _rotated_ellipsoid(z: np.ndarray) -> np.ndarray:
-    """Ellipsoid (condition 1e6) composed with a fixed rotation Q:
-    f(z) = ellipsoid(Q z)"""
-    q = _intrinsic_rotation("rotated_ellipsoid", z.shape[1])
-    return _ellipsoid(z @ q.T)
+def _rotated(name: str, base: Callable[[np.ndarray], np.ndarray]):
+    """``base`` composed with the fixed rotation Q of ``name``: f(z) = base(Q z)"""
+
+    def fn(z: np.ndarray) -> np.ndarray:
+        return base(z @ _intrinsic_rotation(name, z.shape[1]).T)
+
+    return fn
 
 
 def _sharp_ridge(z: np.ndarray) -> np.ndarray:
@@ -187,18 +170,6 @@ def _tablet(z: np.ndarray) -> np.ndarray:
     return 1.0e6 * np.sum(z[:, :2] ** 2, axis=1) + np.sum(z[:, 2:] ** 2, axis=1)
 
 
-def _ridge_rotated(z: np.ndarray) -> np.ndarray:
-    """Sharp ridge composed with a fixed rotation: f(z) = ridge(Q z)"""
-    q = _intrinsic_rotation("ridge_rotated", z.shape[1])
-    return _sharp_ridge(z @ q.T)
-
-
-def _rosenbrock_rotated(z: np.ndarray) -> np.ndarray:
-    """Rosenbrock valley composed with a fixed rotation: f(z) = rosen(Q z)"""
-    q = _intrinsic_rotation("rosenbrock_rotated", z.shape[1])
-    return _rosenbrock(z @ q.T)
-
-
 def _different_powers(z: np.ndarray) -> np.ndarray:
     """f(z) = sum |z_i|^(2 + 4(i-1)/(D-1))"""
     d = z.shape[1]
@@ -238,73 +209,54 @@ def _weierstrass(z: np.ndarray) -> np.ndarray:
 class BenchFunction:
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
-    # optimum location of the *base* function (pre-instancing); None = origin
-    optimum_fn: Callable[[int], np.ndarray] | None = None
-
-    def optimum_location(self, dimension: int) -> np.ndarray:
-        if self.optimum_fn is not None:
-            return self.optimum_fn(dimension)
-        return np.zeros(dimension)
+    # optimum location of the *base* function (pre-instancing) at dimension D
+    optimum_fn: Callable[[int], np.ndarray] = np.zeros
 
 
 def _with_floor(fn: Callable[[np.ndarray], np.ndarray]):
-    def wrapped(z: np.ndarray) -> np.ndarray:
+    def floored(z: np.ndarray) -> np.ndarray:
         return fn(z) + HOLDOUT_VALUE_OFFSET
 
-    wrapped.__doc__ = fn.__doc__
-    return wrapped
+    return floored
 
 
-REGISTRY: dict[str, BenchFunction] = {
-    f.name: f
-    for f in [
-        BenchFunction("sphere", _sphere),
-        BenchFunction("ellipsoid", _ellipsoid),
-        BenchFunction("rotated_ellipsoid", _rotated_ellipsoid),
-        BenchFunction("sharp_ridge", _sharp_ridge),
-        BenchFunction("rastrigin", _rastrigin),
-        BenchFunction("griewank", _griewank),
-        BenchFunction("ackley", _ackley),
-        BenchFunction("schwefel", _schwefel),
-        BenchFunction("step", _step),
-        BenchFunction("rosenbrock", _rosenbrock, np.ones),
-        BenchFunction("discus_steep", _with_floor(_discus_steep)),
-        BenchFunction("tablet", _with_floor(_tablet)),
-        BenchFunction("ridge_rotated", _with_floor(_ridge_rotated)),
-        BenchFunction(
-            "rosenbrock_rotated",
-            _with_floor(_rosenbrock_rotated),
-            lambda d: _intrinsic_rotation("rosenbrock_rotated", d).T @ np.ones(d),
-        ),
-        BenchFunction("different_powers", _with_floor(_different_powers)),
-        BenchFunction("weierstrass", _with_floor(_weierstrass)),
-    ]
-}
-
-TRAINING_FUNCTIONS = (
-    "sphere",
-    "ellipsoid",
-    "rotated_ellipsoid",
-    "sharp_ridge",
-    "rastrigin",
-    "griewank",
-    "ackley",
-    "schwefel",
-    "step",
-    "rosenbrock",
+# Training preset: ten functions spanning the landscape groups.
+TRAINING_PRESET = (
+    BenchFunction("sphere", _sphere),
+    BenchFunction("ellipsoid", _ellipsoid),
+    BenchFunction("rotated_ellipsoid", _rotated("rotated_ellipsoid", _ellipsoid)),
+    BenchFunction("sharp_ridge", _sharp_ridge),
+    BenchFunction("rastrigin", _rastrigin),
+    BenchFunction("griewank", _griewank),
+    BenchFunction("ackley", _ackley),
+    BenchFunction("schwefel", _schwefel),
+    BenchFunction("step", _step),
+    BenchFunction("rosenbrock", _rosenbrock, np.ones),
 )
 
 # Held-out preset: conditioning and rotation variants of the training
 # families plus a multimodal entry, in the spirit of testing on a second
-# suite built from the same function classes.
-HOLDOUT_FUNCTIONS = (
-    "discus_steep",
-    "tablet",
-    "ridge_rotated",
-    "rosenbrock_rotated",
-    "different_powers",
-    "weierstrass",
+# suite built from the same function classes.  Every entry carries the
+# positivity floor.
+HOLDOUT_PRESET = tuple(
+    BenchFunction(f.name, _with_floor(f.fn), f.optimum_fn)
+    for f in (
+        BenchFunction("discus_steep", _discus_steep),
+        BenchFunction("tablet", _tablet),
+        BenchFunction("ridge_rotated", _rotated("ridge_rotated", _sharp_ridge)),
+        BenchFunction(
+            "rosenbrock_rotated",
+            _rotated("rosenbrock_rotated", _rosenbrock),
+            lambda d: _intrinsic_rotation("rosenbrock_rotated", d).T @ np.ones(d),
+        ),
+        BenchFunction("different_powers", _different_powers),
+        BenchFunction("weierstrass", _weierstrass),
+    )
 )
+
+REGISTRY: dict[str, BenchFunction] = {f.name: f for f in TRAINING_PRESET + HOLDOUT_PRESET}
+TRAINING_FUNCTIONS = tuple(f.name for f in TRAINING_PRESET)
+HOLDOUT_FUNCTIONS = tuple(f.name for f in HOLDOUT_PRESET)
 
 PRESET_DIMENSIONS = (2, 10, 20, 30, 40, 50)
 
@@ -324,7 +276,8 @@ class ObjectiveSpec:
 
     @property
     def domain(self) -> SearchDomain:
-        return domain_for(self.dimension)
+        bound = np.full(self.dimension, DOMAIN_BOUND)
+        return SearchDomain(lower=-bound, upper=bound)
 
 
 def random_rotation(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -365,7 +318,7 @@ class ObjectiveInstance:
         """Point where the base optimum value is attained (may fall outside
         the box for rotated instances of functions whose base optimum is not
         at the origin)."""
-        base_opt = self._base.optimum_location(self.dimension)
+        base_opt = self._base.optimum_fn(self.dimension)
         return self.shift + self.rotation.T @ base_opt
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
@@ -401,12 +354,12 @@ def make_instance(spec: ObjectiveSpec, instance_seed: int) -> ObjectiveInstance:
 
 
 def training_suite(dims=PRESET_DIMENSIONS) -> list[ObjectiveSpec]:
-    """Training preset: ten functions spanning the landscape groups."""
+    """Every training function at every dimension of ``dims``."""
     return [ObjectiveSpec(f, d) for f in TRAINING_FUNCTIONS for d in dims]
 
 
 def holdout_suite(dims=PRESET_DIMENSIONS) -> list[ObjectiveSpec]:
-    """Held-out preset, disjoint from the training functions."""
+    """Every held-out function at every dimension of ``dims``."""
     return [ObjectiveSpec(f, d) for f in HOLDOUT_FUNCTIONS for d in dims]
 
 

@@ -4,13 +4,15 @@ Subcommands: train, compare, features, recommend, report.  Options can come
 from a JSON config file (--config); explicit flags override config keys.
 Every flag value, an empty one too, is read by ``_parse``.  Exit codes: 0
 success, 1 contract/config error (a malformed or empty flag value is
-reported as ``error: <flag>: ...``), 2 I/O error or argparse usage error.
+reported as ``error: <flag>: ...``, a usage error such as an unknown flag as
+one ``error: ...`` line), 2 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from functools import partial
 
@@ -50,6 +52,8 @@ def _beta(text: str) -> tuple:
     beta = _list(text, float)
     if len(beta) != 3:
         raise ValueError("needs exactly three values")
+    if not all(map(math.isfinite, beta)):
+        raise ValueError(f"expected finite values, got {text!r}")
     return beta
 
 
@@ -122,8 +126,15 @@ def _campaign_config(args: argparse.Namespace) -> harness.CampaignConfig:
     return config.merged(overrides)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a config error: ``main`` reports it and returns 1."""
+
+    def error(self, message: str):
+        raise ContractError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tuneseer",
         description="Feature-predictive control-parameter selection for "
         "differential evolution",
@@ -148,8 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "recommend":
             harness.cmd_recommend(**_values(args, _RECOMMEND_FLAGS))
         elif args.command == "report":

@@ -662,9 +662,9 @@ def cmd_recommend(
 
 def read_alpha_csv(path: str) -> list:
     """The rows of an alpha.csv as string dicts.  A missing column, a
-    non-integer dim or seed, a non-numeric alpha on an ok row, an unknown
-    method, or a second row for the same test key and method raises
-    ``ContractError`` naming the file and its 1-based line."""
+    non-integer dim or seed, a non-numeric or non-finite alpha on an ok row,
+    an unknown method, or a second row for the same test key and method
+    raises ``ContractError`` naming the file and its 1-based line."""
     rows = []
     seen = set()
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -685,6 +685,8 @@ def read_alpha_csv(path: str) -> list:
                     raise ContractError(
                         f"{where}: {column} must be {what}, got {raw[column]!r}"
                     ) from exc
+            if "alpha" in numeric and not np.isfinite(float(raw["alpha"])):
+                raise ContractError(f"{where}: alpha must be finite, got {raw['alpha']!r}")
             if raw["method"] not in METHOD_ORDER:
                 raise ContractError(f"{where}: unknown method {raw['method']!r}")
             key = (

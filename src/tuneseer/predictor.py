@@ -69,17 +69,21 @@ class TrainingRecord:
 
     @classmethod
     def from_json_line(cls, line: str) -> "TrainingRecord":
+        """A non-finite p1, p2, beta or alpha raises ``ValueError``."""
         raw = json.loads(line)
+
+        def finite(key: str) -> float:
+            value = float(raw[key])
+            if not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {raw[key]!r}")
+            return value
+
         return cls(
-            params=ControlParams(
-                p1=float(raw["p1"]), p2=float(raw["p2"]), p3=int(raw["p3"])
-            ),
+            params=ControlParams(p1=finite("p1"), p2=finite("p2"), p3=int(raw["p3"])),
             features=FeatureVector(
-                beta1=float(raw["beta1"]),
-                beta2=float(raw["beta2"]),
-                beta3=float(raw["beta3"]),
+                beta1=finite("beta1"), beta2=finite("beta2"), beta3=finite("beta3")
             ),
-            alpha=float(raw["alpha"]),
+            alpha=finite("alpha"),
             function_id=str(raw["function_id"]),
             dim=int(raw["dim"]),
             instance_seed=int(raw["instance_seed"]),

@@ -70,6 +70,8 @@ def wilcoxon(diffs) -> WilcoxonResult:
     d = np.asarray(diffs, dtype=float)
     if d.ndim != 1 or d.size == 0:
         raise ContractError("wilcoxon needs a non-empty 1-D difference vector")
+    if not np.all(np.isfinite(d)):
+        raise ContractError("wilcoxon needs finite differences")
     n = d.size
     ranks = rankdata(np.abs(d))
     r_zero = float(ranks[d == 0.0].sum())

@@ -477,6 +477,9 @@ _GOOD_ALPHA_ROWS = [
         (3, "instance_seed", "1.5", "instance_seed must be an integer"),
         (7, "run_seed", "", "run_seed must be an integer, got ''"),
         (4, "alpha", "fast", "alpha must be a number, got 'fast'"),
+        (4, "alpha", "nan", "alpha must be finite, got 'nan'"),
+        (5, "alpha", "inf", "alpha must be finite, got 'inf'"),
+        (6, "alpha", "-Infinity", "alpha must be finite, got '-Infinity'"),
         (5, "run_seed", None, "run_seed must be an integer, got None"),  # a short row
         (3, "method", "literatur", "unknown method 'literatur'"),
         (
@@ -923,6 +926,8 @@ def test_empty_seeds_rejected_before_any_write(trained, tmp_path, command):
         ("train", "--sigma", ","),
         ("recommend", "--beta", "a,b,c"),
         ("recommend", "--beta", "1,2"),
+        ("recommend", "--beta", "nan,1,2"),
+        ("recommend", "--beta", "1,-inf,2"),
         ("compare", "--budget", "abc"),
         ("train", "--workers", "1.5"),
         ("features", "--kappa", "x"),
@@ -948,6 +953,21 @@ def test_cli_reports_malformed_flag_values(trained, tmp_path, capsys, command, f
     assert cli.main([command, *rest, flag, value]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag}: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["compare", "--out", "OUT", "--bogus"], "unrecognized arguments: --bogus"),
+        (["train", "--out", "OUT", "--budget"], "argument --budget: expected one argument"),
+        (["recommend", "--kappa", "3"], "the following arguments are required: --store"),
+    ],
+)
+def test_cli_usage_errors_are_config_errors(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert cli.main([str(out) if a == "OUT" else a for a in argv]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

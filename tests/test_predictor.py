@@ -189,7 +189,8 @@ def test_serialized_store_is_byte_prefix_of_grown_store(tmp_path):
     assert b.read_bytes().startswith(a.read_bytes())
 
 
-_floats = st.floats(allow_nan=False)
+# a store holds finite numbers only; a non-finite one is a load error (below)
+_floats = st.floats(allow_nan=False, allow_infinity=False)
 _ints = st.integers(-(2**63), 2**63 - 1)
 _records = st.builds(
     TrainingRecord,
@@ -274,6 +275,23 @@ def test_load_names_path_and_line_of_bad_record(tmp_path, bad_line, reason):
     message = str(info.value)
     assert message.startswith(f"{path}:3: ")
     assert reason in message
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("key", ["p1", "p2", "beta1", "beta2", "beta3", "alpha"])
+def test_load_rejects_non_finite_numbers(tmp_path, key, value):
+    # json.loads reads NaN, Infinity and -Infinity; the store must not
+    store, _, _ = synthetic_store()
+    path = tmp_path / "store.jsonl"
+    store.save(path)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[4])
+    record[key] = value
+    lines[4] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ContractError) as info:
+        TrainingStore.load(path)
+    assert str(info.value) == f"{path}:5: bad record: {key} must be finite, got {value!r}"
 
 
 def test_build_training_set_counts_and_determinism():

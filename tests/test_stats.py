@@ -145,6 +145,13 @@ def test_empty_input_rejected():
         wilcoxon([])
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_difference_rejected(value):
+    # a non-finite difference has no rank; it must not be counted in n
+    with pytest.raises(ContractError, match="finite"):
+        wilcoxon([1.0, -2.0, 3.0, 4.0, 5.0, 6.0, value])
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.lists(st.floats(-100, 100, allow_nan=False), min_size=1, max_size=30)
