@@ -2,14 +2,16 @@
 """Check that this checkout's tuneseer writes the same bytes as another
 source tree.
 
-Runs `train`, `compare` in both retrain modes and `features` through
-`python -m tuneseer.cli`, once with PYTHONPATH=BASE_SRC and once with this
-checkout's src/, each side in its own temporary directory.  Then compares
-every output file byte for byte: alpha.csv, wilcoxon.csv, suite.json,
-features.csv and the set and contents of curves/*.  The stores (*.jsonl) are
-compared record by record with the `timestamp` field dropped.  Prints one
-line per differing file and exits 1 if any differs, 0 if none does, and 2
-if a command fails.
+Runs `train`, `compare` in both retrain modes, `features`, `report` on
+both compare directories and `recommend` with `--beta` and with
+`--function/--dim` through `python -m tuneseer.cli`, once with
+PYTHONPATH=BASE_SRC and once with this checkout's src/, each side in its
+own temporary directory.  Each step's stdout is kept as
+stdout/<step>.txt.  Then compares every file byte for byte: alpha.csv,
+wilcoxon.csv, suite.json, features.csv, the set and contents of curves/*
+and the stdout files.  The stores (*.jsonl) are compared record by record
+with the `timestamp` field dropped.  Prints one line per differing file and
+exits 1 if any differs, 0 if none does, and 2 if a command fails.
 
     git archive <rev> src | tar -x -C /tmp/base
     python scripts/same_bytes.py /tmp/base/src --scale tiny
@@ -49,8 +51,10 @@ SCALES = {
 
 
 def commands(scale: dict, workers: int) -> list:
-    """(output subdirectory, cli argv) per step, in run order; the compare
-    steps read the store the train step writes."""
+    """(step name, cli argv) per step, in run order; every later step reads
+    the store the train step writes, and each report step reads the
+    directory of the compare step it names."""
+    store = os.path.join("train", "store.jsonl")
     common = [
         "--dims", scale["dims"], "--instances", "1", "--budget", scale["budget"],
         "--kappa", scale["kappa"], "--workers", str(workers),
@@ -58,27 +62,42 @@ def commands(scale: dict, workers: int) -> list:
     compare = [
         "compare", "--suite", "holdout", "--seeds", scale["seeds"],
         "--sigma", scale["sigma"], "--methods", scale["methods"],
-        "--store", os.path.join("train", "store.jsonl"), *common,
+        "--store", store, *common,
     ]
+    recommend = ["recommend", "--store", store, "--kappa", scale["kappa"]]
     return [
         ("train", [
             "train", "--suite", "training", "--train-seeds", scale["train_seeds"],
             "--n-param-sets", scale["n_param_sets"], "--sigma", scale["sigma"],
-            *common,
+            *common, "--out", "train",
         ]),
-        ("compare-per-run", [*compare, "--retrain", "per-run"]),
-        ("compare-per-batch", [*compare, "--retrain", "per-batch"]),
+        *(
+            (f"compare-{mode}", [*compare, "--retrain", mode, "--out", f"compare-{mode}"])
+            for mode in ("per-run", "per-batch")
+        ),
         ("features", [
             "features", "--suite", "training", "--seeds", "0,",
-            "--sigma", scale["feature_sigmas"], *common,
+            "--sigma", scale["feature_sigmas"], *common, "--out", "features",
+        ]),
+        *(
+            (f"report-{mode}", ["report", "--out", f"compare-{mode}"])
+            for mode in ("per-run", "per-batch")
+        ),
+        ("recommend-beta", [*recommend, "--beta", "10,1.3,0.2"]),
+        ("recommend-function", [
+            *recommend, "--function", "rastrigin", "--dim", scale["dims"].split(",")[0],
+            "--sigma", scale["sigma"], "--seed", "1",
         ]),
     ]
 
 
 def run_side(src: Path, workdir: Path, steps: list) -> None:
+    """Run every step in ``workdir``, keeping its stdout as
+    stdout/<step>.txt there."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-    for out, argv in steps:
-        cmd = [sys.executable, "-m", "tuneseer.cli", *argv, "--out", out]
+    (workdir / "stdout").mkdir()
+    for step, argv in steps:
+        cmd = [sys.executable, "-m", "tuneseer.cli", *argv]
         done = subprocess.run(cmd, cwd=workdir, env=env, capture_output=True, text=True)
         if done.returncode != 0:
             print(
@@ -87,6 +106,7 @@ def run_side(src: Path, workdir: Path, steps: list) -> None:
                 file=sys.stderr,
             )
             raise SystemExit(2)
+        (workdir / "stdout" / f"{step}.txt").write_text(done.stdout, encoding="utf-8")
 
 
 def _records(path: Path) -> list:

@@ -23,6 +23,7 @@ import json
 import numbers
 import os
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -35,7 +36,6 @@ from .bench import (
     suite_listing,
     training_suite,
 )
-from .cluster import ClusterModel
 from .errors import ContractError
 from .features import FeatureVector, extract_features
 from .metric import compute_alpha
@@ -111,7 +111,10 @@ _CONFIG_TYPES = {
     "a bool": (lambda v: isinstance(v, bool), "feature_scaling paper_instances"),
     "training|holdout": (lambda v: v in ("training", "holdout"), "suite"),
     "per-run|per-batch": (lambda v: v in ("per-run", "per-batch"), "retrain"),
-    "a str": (lambda v: isinstance(v, (str, os.PathLike)), "out store_path"),
+    "a non-blank path": (
+        lambda v: isinstance(v, (str, os.PathLike)) and os.fspath(v).strip(),
+        "out store_path",
+    ),
 }
 
 
@@ -158,7 +161,7 @@ class CampaignConfig:
                 raise ContractError(f"{key} must hold distinct values, got {values!r}")
         if not self.dims or min(self.dims) < 2:
             raise ContractError(f"every dimension must be >= 2, got dims={self.dims}")
-        floors = {"instances": 1, "kappa": 1, "workers": 1, "campaign_seed": 0}
+        floors = dict(instances=1, kappa=1, n_param_sets=1, workers=1, campaign_seed=0)
         for key, floor in floors.items():
             if getattr(self, key) < floor:
                 raise ContractError(f"{key} must be >= {floor}, got {getattr(self, key)}")
@@ -204,28 +207,30 @@ class CampaignConfig:
         return self.store_path or os.path.join(self.out, "store.jsonl")
 
 
-def _literature_params(dim: int) -> ControlParams:
-    """The rule-of-thumb triple (0.9, 0.5, 10 D)."""
-    return ControlParams(0.9, 0.5, 10 * dim)
+def _fixed_params(method: str, dim: int, store) -> Optional[ControlParams]:
+    """The triple a fixed-parameter method runs with at dimension ``dim``:
+    the rule of thumb (0.9, 0.5, 10 D) or the best training record's.  SHADE
+    adapts its own, so it gets None."""
+    if method == METHOD_LITERATURE:
+        return ControlParams(0.9, 0.5, 10 * dim)
+    if method == METHOD_BEST:
+        return store.best_record().params
+    return None
 
 
 def _require_budget(config: CampaignConfig, methods, store=None) -> None:
     """Reject, before any run, a budget below one generation of the largest
     population a requested method can use; "training" names the training
     design.  Runs that spend sigma evaluations on features need it on top."""
+    dim = max(config.dims)
     for method in methods:
         if method in ("training", METHOD_PREDICTIVE):
             floor = config.sigma + DESIGN_MAX_POP
             why = f"sigma {config.sigma} + population up to {DESIGN_MAX_POP}"
-        elif method == METHOD_LITERATURE:
-            floor = _literature_params(max(config.dims)).p3
-            why = f"population 10 D at D = {max(config.dims)}"
-        elif method == METHOD_SHADE:
-            floor = shade.POP_SIZE
-            why = "the adaptive baseline's population"
         else:
-            floor = store.best_record().params.p3
-            why = "the best training record's population"
+            params = _fixed_params(method, dim, store)
+            floor = shade.POP_SIZE if params is None else params.p3
+            why = f"the {method} population at D = {dim}"
         if config.budget < floor:
             raise ContractError(
                 f"budget {config.budget} is below one {method} generation: "
@@ -323,16 +328,15 @@ def cmd_train(config: CampaignConfig) -> str:
 
 @dataclass(frozen=True)
 class _CompareItem:
+    """One run: its method and test key.  What every run of a pool call
+    shares (the config and the frozen model and table) is bound to
+    ``_run_compare_item`` instead."""
+
     method: str
     spec: ObjectiveSpec
     instance_seed: int
     run_seed: int
-    budget: int
-    sigma: int
-    item_seed: int
     params: Optional[ControlParams] = None  # fixed-parameter methods
-    model: Optional[ClusterModel] = None  # predictive: the frozen model
-    table: Optional[dict] = None  # and its recommendation table
 
 
 def _improvement_rows(trace: de.RunTrace) -> tuple:
@@ -345,34 +349,39 @@ def _improvement_rows(trace: de.RunTrace) -> tuple:
     return tuple(rows)
 
 
-def _run_compare_item(item: _CompareItem) -> tuple:
+def _run_compare_item(config: CampaignConfig, model, table, item: _CompareItem) -> tuple:
     """One run as ``(row, record, curve)``: its alpha.csv row, its store
     record (predictive runs only) and its improvement-only curve.  A failed
     run keeps its row, with every field but the test key, method and status
-    left empty."""
+    left empty.  Every method of a test key draws from the same stream,
+    seeded by the campaign seed and the key alone."""
+    spec, inst, run_seed = item.spec, item.instance_seed, item.run_seed
     row = dict.fromkeys(ALPHA_COLUMNS)
     row.update(
-        function_id=item.spec.function_id,
-        dim=item.spec.dimension,
-        instance_seed=item.instance_seed,
-        run_seed=item.run_seed,
+        function_id=spec.function_id,
+        dim=spec.dimension,
+        instance_seed=inst,
+        run_seed=run_seed,
         method=item.method,
     )
+    seed = derive_seed(
+        config.campaign_seed, "compare", spec.function_id, spec.dimension, inst, run_seed
+    )
     try:
-        instance = make_instance(item.spec, item.instance_seed)
+        instance = make_instance(spec, inst)
         params, record = item.params, None
         if item.method == METHOD_PREDICTIVE:
             trace, score, record = run_predictive(
-                instance, item.model, item.table, item.sigma, item.budget, item.item_seed
+                instance, model, table, config.sigma, config.budget, seed
             )
             # the store keys records by the test key's seed, as training does
-            record = replace(record, run_seed=item.run_seed)
+            record = replace(record, run_seed=run_seed)
             params = record.params
         else:
             if item.method == METHOD_SHADE:
-                trace = shade.optimize_shade(instance, item.budget, item.item_seed)
+                trace = shade.optimize_shade(instance, config.budget, seed)
             else:
-                trace = de.optimize(instance, params, item.budget, item.item_seed)
+                trace = de.optimize(instance, params, config.budget, seed)
             score = compute_alpha(trace)
         curve = _improvement_rows(trace)
     except Exception as exc:  # failures become explicit report rows
@@ -495,41 +504,17 @@ def cmd_compare(config: CampaignConfig) -> ComparisonReport:
 
     keys = _test_keys(config, specs)
 
-    def make_item(method, spec, inst, seed, **kw) -> _CompareItem:
-        return _CompareItem(
-            method=method,
-            spec=spec,
-            instance_seed=inst,
-            run_seed=seed,
-            budget=config.budget,
-            sigma=config.sigma,
-            item_seed=derive_seed(
-                config.campaign_seed,
-                "compare",
-                spec.function_id,
-                spec.dimension,
-                inst,
-                seed,
-            ),
-            **kw,
-        )
-
     def refit():
         return predictor.recommendation_table(
             store, config.kappa, seed=config.campaign_seed, scale=config.feature_scaling
         )
 
-    items: list[_CompareItem] = []
-    for method in config.methods:
-        if method == METHOD_PREDICTIVE:
-            continue
-        for spec, inst, seed in keys:
-            params = None
-            if method == METHOD_LITERATURE:
-                params = _literature_params(spec.dimension)
-            elif method == METHOD_BEST:
-                params = store.best_record().params
-            items.append(make_item(method, spec, inst, seed, params=params))
+    items = [
+        _CompareItem(method, *key, _fixed_params(method, key[0].dimension, store))
+        for method in config.methods
+        if method != METHOD_PREDICTIVE
+        for key in keys
+    ]
 
     batches = [[]]
     model = table = None
@@ -538,10 +523,9 @@ def cmd_compare(config: CampaignConfig) -> ComparisonReport:
         batches = [keys] if config.retrain == "per-batch" else [[k] for k in keys]
     results = []
     for batch in batches:
-        items += [
-            make_item(METHOD_PREDICTIVE, *key, model=model, table=table) for key in batch
-        ]
-        done = pool_map(_run_compare_item, items, config.workers, chunksize=4)
+        items += [_CompareItem(METHOD_PREDICTIVE, *key) for key in batch]
+        run = partial(_run_compare_item, config, model, table)
+        done = pool_map(run, items, config.workers, chunksize=4)
         items = []
         results.extend(done)
         records = [record for _, record, _ in done if record is not None]
@@ -630,15 +614,15 @@ def cmd_recommend(
     """One-shot recommendation from a stored training set.
 
     Give either an explicit feature triple or a (function, dim, instance) to
-    sample features from; ``seed`` is the feature sample's seed.  The store
+    sample features from, not both; ``seed`` is the feature sample's seed.  The store
     is fitted (fit seed 0) before any feature is sampled, so an empty store
     fails without evaluating the objective.
     """
     instance = None
-    if beta is None:
-        if function_id is None or dim is None:
-            raise ContractError("recommend needs either --beta or --function/--dim")
+    if beta is None and None not in (function_id, dim):
         instance = make_instance(ObjectiveSpec(function_id, dim), instance_seed)
+    elif beta is None or (function_id, dim) != (None, None):
+        raise ContractError("recommend needs --beta or --function/--dim, not both")
     model, table = predictor.recommendation_table(
         TrainingStore.load(store_path), kappa, scale=scale
     )

@@ -23,6 +23,7 @@ import math
 import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import partial
 
 import numpy as np
 
@@ -252,16 +253,14 @@ class _TrainingItem:
     spec: ObjectiveSpec
     instance_seed: int
     params: ControlParams
-    sigma: int
-    budget: int
     run_seed: int
     item_seed: int
 
 
-def _run_training_item(item: _TrainingItem) -> TrainingRecord:
+def _run_training_item(sigma: int, budget: int, item: _TrainingItem) -> TrainingRecord:
     instance = make_instance(item.spec, item.instance_seed)
     _, _, record = _featured_run(
-        instance, lambda _: item.params, item.sigma, item.budget,
+        instance, lambda _: item.params, sigma, budget,
         seed=item.item_seed, run_seed=item.run_seed,
     )
     return record
@@ -304,26 +303,13 @@ def build_training_set(
         for inst_seed in instance_seeds:
             for param_idx, params in enumerate(param_sets):
                 for run_seed in seeds:
-                    items.append(
-                        _TrainingItem(
-                            spec=spec,
-                            instance_seed=inst_seed,
-                            params=params,
-                            sigma=sigma,
-                            budget=budget,
-                            run_seed=run_seed,
-                            item_seed=derive_seed(
-                                campaign_seed,
-                                "train",
-                                spec.function_id,
-                                spec.dimension,
-                                inst_seed,
-                                param_idx,
-                                run_seed,
-                            ),
-                        )
+                    item_seed = derive_seed(
+                        campaign_seed, "train", spec.function_id, spec.dimension,
+                        inst_seed, param_idx, run_seed,
                     )
-    return TrainingStore(pool_map(_run_training_item, items, workers, chunksize=8))
+                    items.append(_TrainingItem(spec, inst_seed, params, run_seed, item_seed))
+    run = partial(_run_training_item, sigma, budget)
+    return TrainingStore(pool_map(run, items, workers, chunksize=8))
 
 
 def run_predictive(

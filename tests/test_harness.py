@@ -1038,3 +1038,80 @@ def test_small_configs_run_or_fail_up_front(trained, overrides):
         assert report.n_failed == 0
         assert report.alpha_rows
         assert all(r["status"] == "ok" for r in read_rows(os.path.join(out, "alpha.csv")))
+
+
+@pytest.mark.parametrize(
+    "command,key,value,message",
+    [
+        ("train", "out", "  ", "out must be a non-blank path, got '  '"),
+        ("features", "out", "", "out must be a non-blank path, got ''"),
+        ("train", "store_path", " ", "store_path must be a non-blank path, got ' '"),
+        ("compare", "store_path", "", "store_path must be a non-blank path, got ''"),
+        ("train", "n_param_sets", 0, "n_param_sets must be >= 1, got 0"),
+    ],
+)
+def test_cli_config_file_blank_path_or_no_param_sets(
+    tmp_path, capsys, monkeypatch, command, key, value, message
+):
+    # relative paths land in tmp_path, so a blank one would show up there
+    monkeypatch.chdir(tmp_path)
+    raw = dict(
+        dims=[2], instances=1, seeds=[0], train_seeds=[0], budget=1600, sigma=50,
+        kappa=3, n_param_sets=2, suite="holdout", methods=["literature"], out="out",
+    )
+    raw[key] = value
+    (tmp_path / "config.json").write_text(json.dumps(raw))
+    assert cli.main([command, "--config", "config.json"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--beta", "2,0.5,0.1", "--function", "sphere", "--dim", "2"],
+        ["--beta", "2,0.5,0.1", "--function", "sphere"],
+        ["--beta", "2,0.5,0.1", "--dim", "2"],
+        ["--function", "sphere"],
+        ["--dim", "2"],
+        [],
+    ],
+)
+def test_cli_recommend_takes_beta_or_function_not_both(tmp_path, capsys, args):
+    # the store does not exist: loading it first would be an i/o error, exit 2
+    store = tmp_path / "missing.jsonl"
+    assert cli.main(["recommend", "--store", str(store), *args]) == 1
+    message = "error: recommend needs --beta or --function/--dim, not both\n"
+    assert capsys.readouterr().err == message
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("retrain", ["per-run", "per-batch"])
+def test_fixed_method_rows_do_not_depend_on_the_other_methods(trained, tmp_path, retrain):
+    # a run's stream comes from the campaign seed, its test key and its
+    # method alone: literature and shade write the same rows and curves
+    # whether or not predictive and best-of-training run beside them
+    _, _, store_path = trained
+    alone = ("literature", "shade")
+
+    def fixed_rows(methods, workers):
+        out = tmp_path / f"{len(methods)}-{workers}"
+        config = train_config(
+            out, suite="holdout", store_path=store_path, methods=methods,
+            retrain=retrain, workers=workers,
+        )
+        cmd_compare(config)
+        rows = [r for r in read_rows(out / "alpha.csv") if r["method"] in alone]
+        curves = {
+            name: [r for r in read_rows(out / "curves" / name) if r["method"] in alone]
+            for name in sorted(os.listdir(out / "curves"))
+        }
+        return rows, curves
+
+    expected = fixed_rows(alone, 1)
+    assert len(expected[0]) == 24 and all(r["status"] == "ok" for r in expected[0])
+    assert all(expected[1].values())
+    for workers in (1, 2):
+        if workers > 1:
+            assert fixed_rows(alone, workers) == expected
+        assert fixed_rows(harness.METHOD_ORDER, workers) == expected
