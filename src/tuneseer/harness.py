@@ -1,5 +1,6 @@
 """Campaign orchestration: training runs, method comparisons, feature
-tables, and report emission.
+tables, and report emission.  Every command's runs are listed and seeded
+here, and the campaigns send them through one process pool, ``pool_map``.
 
 Outputs under the campaign directory:
 
@@ -18,6 +19,7 @@ Failed runs are kept as explicit rows, never dropped silently.
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import json
 import numbers
@@ -39,13 +41,8 @@ from .bench import (
 from .errors import ContractError
 from .features import FeatureVector, extract_features
 from .metric import compute_alpha
-from .predictor import (
-    TrainingStore,
-    build_training_set,
-    pool_map,
-    run_predictive,
-)
-from .sampling import DEFAULT_PARAM_RANGES, ControlParams, derive_seed
+from .predictor import TrainingRecord, TrainingStore, run_predictive
+from .sampling import DEFAULT_PARAM_RANGES, ControlParams, derive_seed, lhs_params, substream
 from .stats import wilcoxon
 
 METHOD_LITERATURE = "literature"
@@ -122,6 +119,11 @@ def default_out_dir() -> str:
     return os.environ.get("TUNESEER_DATA", "runs")
 
 
+def _require_at_least(key: str, value: int, floor: int) -> None:
+    if value < floor:
+        raise ContractError(f"{key} must be >= {floor}, got {value}")
+
+
 @dataclass(frozen=True)
 class CampaignConfig:
     """Dataclass mirror of the JSON config file; CLI flags override keys."""
@@ -163,11 +165,9 @@ class CampaignConfig:
             raise ContractError(f"every dimension must be >= 2, got dims={self.dims}")
         floors = dict(instances=1, kappa=1, n_param_sets=1, workers=1, campaign_seed=0)
         for key, floor in floors.items():
-            if getattr(self, key) < floor:
-                raise ContractError(f"{key} must be >= {floor}, got {getattr(self, key)}")
+            _require_at_least(key, getattr(self, key), floor)
         for sigma in (self.sigma, *(self.sigmas or ())):
-            if sigma < 2:
-                raise ContractError(f"sigma must be >= 2, got {sigma}")
+            _require_at_least("sigma", sigma, 2)
         return self
 
     @classmethod
@@ -285,30 +285,66 @@ def _write_suite_json(out_dir: str, specs: list[ObjectiveSpec]) -> None:
         fh.write("\n")
 
 
+def pool_map(fn, items: list, workers: int, chunksize: int) -> list:
+    """``fn`` over ``items``, results in item order; a process pool serves
+    only when there is more than one worker and more than one item."""
+    if workers > 1 and len(items) > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items, chunksize=chunksize))
+    return [fn(item) for item in items]
+
+
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _TrainingItem:
+    spec: ObjectiveSpec
+    instance_seed: int
+    params: ControlParams
+    run_seed: int
+    item_seed: int
+
+
+def _run_training_item(sigma: int, budget: int, item: _TrainingItem) -> TrainingRecord:
+    """One training run's store record, its features sampled first."""
+    instance = make_instance(item.spec, item.instance_seed)
+    _, _, record = predictor._featured_run(
+        instance, lambda _: item.params, sigma, budget,
+        seed=item.item_seed, run_seed=item.run_seed,
+    )
+    return record
+
+
 def cmd_train(config: CampaignConfig) -> str:
-    """Run the off-line training campaign and persist the store."""
+    """Run the off-line training campaign and persist the store: a fresh LHS
+    of ``n_param_sets`` triples per (function, dimension), each run on every
+    training instance and seed, its sigma feature evaluations charged."""
     config.validate()
     _require_one_sigma(config)
     _require_seeds(config.train_seeds, "train_seeds")
     _require_budget(config, ("training",))
-    specs = config.suite_specs()
-    store = build_training_set(
-        specs,
-        sigma=config.sigma,
-        seeds=config.train_seeds,
-        budget=config.budget,
-        n_param_sets=config.n_param_sets,
-        instance_seeds=config.train_instance_seeds(),
-        campaign_seed=config.campaign_seed,
-        workers=config.workers,
-    )
-    os.makedirs(config.out, exist_ok=True)
     path = config.resolved_store_path()
+    # the store's directory first: a save that fails would lose every run
+    for directory in (config.out, os.path.dirname(path)):
+        os.makedirs(directory or ".", exist_ok=True)
+    specs = config.suite_specs()
+    items = []
+    for spec in specs:
+        key = (spec.function_id, spec.dimension)
+        design_rng = substream(config.campaign_seed, "param-design", *key)
+        param_sets = lhs_params(config.n_param_sets, design_rng)
+        for inst in config.train_instance_seeds():
+            for param_idx, params in enumerate(param_sets):
+                for run_seed in config.train_seeds:
+                    item_seed = derive_seed(
+                        config.campaign_seed, "train", *key, inst, param_idx, run_seed
+                    )
+                    items.append(_TrainingItem(spec, inst, params, run_seed, item_seed))
+    run = partial(_run_training_item, config.sigma, config.budget)
+    store = TrainingStore(pool_map(run, items, config.workers, chunksize=8))
     store.save(path)
     _write_suite_json(config.out, specs)
     best = store.best_record()
@@ -606,30 +642,38 @@ def cmd_recommend(
     beta: Optional[tuple] = None,
     function_id: Optional[str] = None,
     dim: Optional[int] = None,
-    instance_seed: int = 0,
-    sigma: int = CampaignConfig.sigma,
-    seed: int = 0,
+    instance_seed: Optional[int] = None,
+    sigma: Optional[int] = None,
+    seed: Optional[int] = None,
     scale: bool = True,
 ) -> dict:
     """One-shot recommendation from a stored training set.
 
-    Give either an explicit feature triple or a (function, dim, instance) to
-    sample features from, not both; ``seed`` is the feature sample's seed.  The store
-    is fitted (fit seed 0) before any feature is sampled, so an empty store
+    Give either an explicit feature triple or a (function, dim) to sample
+    features from, not both.  Only sampling takes ``instance_seed`` (default
+    0), ``sigma`` (default ``CampaignConfig.sigma``) and the sample's
+    ``seed`` (default 0).  The arguments are checked, and the store is
+    fitted (fit seed 0), before any feature is sampled, so an empty store
     fails without evaluating the objective.
     """
+    _require_at_least("kappa", kappa, 1)
+    sampling = {"--instance": instance_seed, "--sigma": sigma, "--seed": seed}
+    given = [flag for flag, value in sampling.items() if value is not None]
     instance = None
     if beta is None and None not in (function_id, dim):
-        instance = make_instance(ObjectiveSpec(function_id, dim), instance_seed)
+        instance = make_instance(ObjectiveSpec(function_id, dim), instance_seed or 0)
     elif beta is None or (function_id, dim) != (None, None):
         raise ContractError("recommend needs --beta or --function/--dim, not both")
+    elif given:
+        raise ContractError(f"recommend --beta samples nothing, so it takes no {', '.join(given)}")
     model, table = predictor.recommendation_table(
         TrainingStore.load(store_path), kappa, scale=scale
     )
     if instance is None:
         beta_vec = FeatureVector(*[float(b) for b in beta])
     else:
-        beta_vec = extract_features(instance, sigma, seed)
+        sigma = CampaignConfig.sigma if sigma is None else sigma
+        beta_vec = extract_features(instance, sigma, seed or 0)
     params, cluster_idx = predictor.recommend(model, table, beta_vec)
     result = {
         "p1": params.p1,

@@ -1,7 +1,9 @@
 """Global memory of (params, features, score) records and the
 recommendation engine mined from it.
 
-Training campaigns append one record per optimization run.  To recommend
+A training campaign (``harness.cmd_train``) makes one record per
+optimization run, each through ``_featured_run`` with a fixed parameter
+triple, the same runner a predictive run uses.  To recommend
 parameters for a new function, the stored feature vectors are clustered,
 the new function's features are classified, and the mean parameter triple of
 the top 10% of that cluster's records (ranked by score) is returned.
@@ -17,22 +19,19 @@ the whole history of using the tool.
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import math
 import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from functools import partial
 
 import numpy as np
 
 from . import cluster, de
-from .bench import ObjectiveSpec, make_instance
 from .errors import ContractError, NoDataError
 from .features import FeatureVector, extract_features
 from .metric import PerformanceScore, compute_alpha
-from .sampling import MIN_POP_SIZE, ControlParams, derive_seed, lhs_params, substream
+from .sampling import MIN_POP_SIZE, ControlParams
 
 TOP_FRACTION = 0.1
 
@@ -246,70 +245,6 @@ def _featured_run(
         timestamp=_utc_now(),
     )
     return trace, score, record
-
-
-@dataclass(frozen=True)
-class _TrainingItem:
-    spec: ObjectiveSpec
-    instance_seed: int
-    params: ControlParams
-    run_seed: int
-    item_seed: int
-
-
-def _run_training_item(sigma: int, budget: int, item: _TrainingItem) -> TrainingRecord:
-    instance = make_instance(item.spec, item.instance_seed)
-    _, _, record = _featured_run(
-        instance, lambda _: item.params, sigma, budget,
-        seed=item.item_seed, run_seed=item.run_seed,
-    )
-    return record
-
-
-def pool_map(fn, items: list, workers: int, chunksize: int) -> list:
-    """``fn`` over ``items``, results in item order; a process pool serves
-    only when there is more than one worker and more than one item."""
-    if workers > 1 and len(items) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items, chunksize=chunksize))
-    return [fn(item) for item in items]
-
-
-def build_training_set(
-    suite: list[ObjectiveSpec],
-    sigma: int,
-    seeds,
-    budget: int,
-    n_param_sets: int = 30,
-    instance_seeds=(1,),
-    campaign_seed: int = 0,
-    workers: int = 1,
-) -> TrainingStore:
-    """Off-line campaign: a fresh LHS of parameter triples over
-    ``DEFAULT_PARAM_RANGES`` per (function, dimension), each run on every
-    instance and seed.
-
-    Every run extracts features first (sigma evaluations) and optimizes with
-    the remaining budget, so stored scores include the sampling cost.
-    """
-    if not suite:
-        raise ContractError("suite must not be empty")
-    items = []
-    for spec in suite:
-        design_rng = substream(
-            campaign_seed, "param-design", spec.function_id, spec.dimension
-        )
-        param_sets = lhs_params(n_param_sets, design_rng)
-        for inst_seed in instance_seeds:
-            for param_idx, params in enumerate(param_sets):
-                for run_seed in seeds:
-                    item_seed = derive_seed(
-                        campaign_seed, "train", spec.function_id, spec.dimension,
-                        inst_seed, param_idx, run_seed,
-                    )
-                    items.append(_TrainingItem(spec, inst_seed, params, run_seed, item_seed))
-    run = partial(_run_training_item, sigma, budget)
-    return TrainingStore(pool_map(run, items, workers, chunksize=8))
 
 
 def run_predictive(

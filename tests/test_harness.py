@@ -34,7 +34,7 @@ from tuneseer.predictor import (
     recommend,
     recommendation_table,
 )
-from tuneseer.sampling import ControlParams, derive_seed
+from tuneseer.sampling import ControlParams, derive_seed, lhs_params, substream
 from tuneseer.stats import wilcoxon
 
 # budget must cover sigma plus the largest admissible population (500)
@@ -403,7 +403,6 @@ def test_sigma_list_rejected_outside_features(trained, tmp_path, capsys, monkeyp
     def no_run(*args, **kwargs):
         raise AssertionError("a run started")
 
-    monkeypatch.setattr(harness, "build_training_set", no_run)
     monkeypatch.setattr(harness, "pool_map", no_run)
     message = "sigmas: only features takes a list"
     # the same check meets a flag, a config file and a Python caller
@@ -903,6 +902,89 @@ def test_train_rejects_empty_train_seeds_keeping_the_store(trained, tmp_path):
     assert os.listdir(out) == ["store.jsonl"]
 
 
+def test_train_counts_and_determinism(tmp_path):
+    # the budget covers sigma plus the design's largest population (500)
+    kw = dict(sigma=50, train_seeds=(0,), budget=550, n_param_sets=3, instances=1)
+    first = TrainingStore.load(cmd_train(train_config(tmp_path / "a", **kw)))
+    # 10 training functions x 1 dim x 1 instance x 3 param sets x 1 seed
+    assert len(first) == 30
+    again = TrainingStore.load(cmd_train(train_config(tmp_path / "b", **kw)))
+    strip = lambda r: (r.params, r.features, r.alpha, r.function_id, r.dim)
+    assert [strip(r) for r in first.records] == [strip(r) for r in again.records]
+
+
+def test_train_validates_budget(tmp_path):
+    with pytest.raises(ContractError):
+        cmd_train(train_config(tmp_path, sigma=500, budget=500))
+
+
+def _untimed_records(path):
+    return [dataclasses.replace(r, timestamp="") for r in TrainingStore.load(path).records]
+
+
+def test_train_store_does_not_depend_on_workers(tmp_path):
+    kw = dict(instances=2, train_seeds=(0, 1))
+    stores = [
+        cmd_train(train_config(tmp_path / f"w{workers}", workers=workers, **kw))
+        for workers in (1, 2)
+    ]
+    records = _untimed_records(stores[0])
+    assert records == _untimed_records(stores[1])
+    # for each function and D, for each instance, for each parameter set of
+    # the (function, D) design, for each seed
+    config = train_config(tmp_path, **kw)
+    expected = []
+    for spec in config.suite_specs():
+        key = (spec.function_id, spec.dimension)
+        design = lhs_params(config.n_param_sets, substream(0, "param-design", *key))
+        for inst in (1, 2):
+            for params in design:
+                for seed in (0, 1):
+                    expected.append((*key, inst, params, seed))
+    order = [(r.function_id, r.dim, r.instance_seed, r.params, r.run_seed) for r in records]
+    assert order == expected
+
+
+def _train_argv(out, store):
+    return [
+        "train", "--dims", "2", "--instances", "1", "--train-seeds", "0,",
+        "--n-param-sets", "2", "--budget", "1600", "--sigma", "50",
+        "--out", str(out), "--store", str(store),
+    ]
+
+
+def test_train_makes_the_store_directory_before_any_run(tmp_path, monkeypatch):
+    store = tmp_path / "out" / "sub" / "store.jsonl"
+    made = []
+    real = harness.pool_map
+
+    def spy(*args, **kwargs):
+        made.append(store.parent.is_dir())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "pool_map", spy)
+    assert cli.main(_train_argv(tmp_path / "out", store)) == 0
+    assert made == [True]
+    assert len(TrainingStore.load(store)) == 20
+
+
+def test_train_store_directory_that_cannot_be_made_fails_before_any_run(
+    tmp_path, capsys, monkeypatch
+):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(harness, "pool_map", no_run)
+    blocked = tmp_path / "file"
+    blocked.write_text("")
+    store = blocked / "sub" / "store.jsonl"
+    assert cli.main(_train_argv(tmp_path / "out", store)) == 2
+    err = capsys.readouterr().err
+    # the error names the directory, not a half-written store file
+    assert err.startswith("i/o error: ") and err.endswith(f"'{blocked / 'sub'}'\n")
+    assert blocked.read_text() == ""
+
+
 @pytest.mark.parametrize("command", ["compare", "features"])
 def test_empty_seeds_rejected_before_any_write(trained, tmp_path, command):
     _, _, store_path = trained
@@ -1083,6 +1165,48 @@ def test_cli_recommend_takes_beta_or_function_not_both(tmp_path, capsys, args):
     assert cli.main(["recommend", "--store", str(store), *args]) == 1
     message = "error: recommend needs --beta or --function/--dim, not both\n"
     assert capsys.readouterr().err == message
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--instance", "7"],
+        ["--sigma", "5"],
+        ["--seed", "9"],
+        ["--sigma", "0"],
+        ["--instance", "7", "--sigma", "5", "--seed", "9"],
+    ],
+)
+def test_cli_recommend_beta_rejects_the_sampling_flags(tmp_path, capsys, args):
+    # the store does not exist: loading it first would be an i/o error, exit 2
+    store = tmp_path / "missing.jsonl"
+    argv = ["recommend", "--store", str(store), "--beta", "10,1.3,0.2", *args]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    given = ", ".join(a for a in args if a.startswith("--"))
+    assert err == f"error: recommend --beta samples nothing, so it takes no {given}\n"
+    assert os.listdir(tmp_path) == []
+
+
+def test_recommend_sampling_defaults(tmp_path):
+    store = tmp_path / "store.jsonl"
+    _write_small_store(store)
+    sample = dict(function_id="sphere", dim=10)
+    implicit = cmd_recommend(str(store), 3, **sample)
+    explicit = cmd_recommend(
+        str(store), 3, **sample, instance_seed=0, sigma=CampaignConfig.sigma, seed=0
+    )
+    assert implicit == explicit
+
+
+@pytest.mark.parametrize("kappa", ["0", "-3"])
+def test_cli_recommend_names_the_kappa_key(tmp_path, capsys, kappa):
+    # the store does not exist: loading it first would be an i/o error, exit 2
+    store = tmp_path / "missing.jsonl"
+    argv = ["recommend", "--store", str(store), "--kappa", kappa, "--beta", "10,1.3,0.2"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: kappa must be >= 1, got {kappa}\n"
     assert os.listdir(tmp_path) == []
 
 

@@ -17,7 +17,6 @@ from tuneseer.features import FeatureVector, extract_features
 from tuneseer.predictor import (
     TrainingRecord,
     TrainingStore,
-    build_training_set,
     recommend,
     recommendation_table,
     run_predictive,
@@ -292,34 +291,6 @@ def test_load_rejects_non_finite_numbers(tmp_path, key, value):
     with pytest.raises(ContractError) as info:
         TrainingStore.load(path)
     assert str(info.value) == f"{path}:5: bad record: {key} must be finite, got {value!r}"
-
-
-def test_build_training_set_counts_and_determinism():
-    suite = [ObjectiveSpec("sphere", 2)]
-    # the budget covers sigma plus the design's largest population (500)
-    store = build_training_set(
-        suite, sigma=50, seeds=(0,), budget=550, n_param_sets=30, instance_seeds=(1,)
-    )
-    assert len(store) == 30
-    again = build_training_set(
-        suite, sigma=50, seeds=(0,), budget=550, n_param_sets=30, instance_seeds=(1,)
-    )
-    strip = lambda r: (r.params, r.features, r.alpha, r.function_id, r.dim)
-    assert [strip(r) for r in store.records] == [strip(r) for r in again.records]
-
-
-def test_build_training_set_empty_seeds():
-    store = build_training_set(
-        [ObjectiveSpec("sphere", 2)], sigma=50, seeds=(), budget=500, n_param_sets=5
-    )
-    assert len(store) == 0
-
-
-def test_build_training_set_validates_budget():
-    with pytest.raises(ContractError):
-        build_training_set(
-            [ObjectiveSpec("sphere", 2)], sigma=500, seeds=(0,), budget=500
-        )
 
 
 def test_run_predictive_budget_accounting():
