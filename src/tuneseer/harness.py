@@ -1,6 +1,7 @@
 """Campaign orchestration: training runs, method comparisons, feature
 tables, and report emission.  Every command's runs are listed and seeded
-here, and the campaigns send them through one process pool, ``pool_map``.
+here; ``train`` and ``compare`` send theirs through one process pool,
+``pool_map``, and ``features`` extracts its features serially.
 
 Outputs under the campaign directory:
 
@@ -12,9 +13,10 @@ Outputs under the campaign directory:
     features.csv                   feature table with cluster assignments
     curves/<function>_<dim>_<seed>.csv   improvement-only convergence rows
 
-Every run is seeded from the campaign seed and its test key, so repeated
-campaigns with the same configuration reproduce alpha.csv byte-identically.
-Failed runs are kept as explicit rows, never dropped silently.
+Every run is seeded from the campaign seed and its test key (``_TestKey``),
+so repeated campaigns with the same configuration reproduce alpha.csv
+byte-identically.  Failed runs are kept as explicit rows, never dropped
+silently, and ``report`` reads back the typed rows ``compare`` wrote.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numbers
 import os
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
-from typing import Optional
+from typing import NamedTuple, Optional, get_type_hints
 
 import numpy as np
 
@@ -58,20 +60,37 @@ DESIGN_MAX_POP = int(DEFAULT_PARAM_RANGES[2][1])
 # the campaign explicitly mirrors the same-suite protocol.
 COMPARE_INSTANCE_OFFSET = 100
 
-ALPHA_COLUMNS = (
-    "function_id",
-    "dim",
-    "instance_seed",
-    "run_seed",
-    "method",
-    "p1",
-    "p2",
-    "p3",
-    "alpha",
-    "evals",
-    "g_star",
-    "status",
-)
+
+class _TestKey(NamedTuple):
+    """alpha.csv's first four columns, in order: every method of a key runs
+    on the same instance and draws from the same stream."""
+
+    function_id: str
+    dim: int
+    instance_seed: int
+    run_seed: int
+
+    def instance(self):
+        return make_instance(ObjectiveSpec(self.function_id, self.dim), self.instance_seed)
+
+
+def _key(row: dict) -> _TestKey:
+    return _TestKey(*(row[name] for name in _TestKey._fields))
+
+
+# alpha.csv's columns and the type each cell is read back as
+ALPHA_TYPES = {
+    **get_type_hints(_TestKey),
+    "method": str,
+    "p1": float,
+    "p2": float,
+    "p3": int,
+    "alpha": float,
+    "evals": int,
+    "g_star": int,
+    "status": str,
+}
+ALPHA_COLUMNS = tuple(ALPHA_TYPES)
 
 WILCOXON_COLUMNS = ("method_a", "method_b", "n", "W", "p")
 
@@ -251,10 +270,10 @@ def _require_seeds(seeds, name: str) -> None:
 
 
 def _test_keys(config: CampaignConfig, specs: list[ObjectiveSpec]) -> list:
-    """Every (spec, instance seed, seed) the comparison and feature commands
-    run, in output order."""
+    """Every test key the comparison and feature commands run, in output
+    order."""
     return [
-        (spec, inst, seed)
+        _TestKey(spec.function_id, spec.dimension, inst, seed)
         for spec in specs
         for inst in config.compare_instance_seeds()
         for seed in config.seeds
@@ -369,9 +388,7 @@ class _CompareItem:
     ``_run_compare_item`` instead."""
 
     method: str
-    spec: ObjectiveSpec
-    instance_seed: int
-    run_seed: int
+    key: _TestKey
     params: Optional[ControlParams] = None  # fixed-parameter methods
 
 
@@ -391,27 +408,18 @@ def _run_compare_item(config: CampaignConfig, model, table, item: _CompareItem) 
     run keeps its row, with every field but the test key, method and status
     left empty.  Every method of a test key draws from the same stream,
     seeded by the campaign seed and the key alone."""
-    spec, inst, run_seed = item.spec, item.instance_seed, item.run_seed
-    row = dict.fromkeys(ALPHA_COLUMNS)
-    row.update(
-        function_id=spec.function_id,
-        dim=spec.dimension,
-        instance_seed=inst,
-        run_seed=run_seed,
-        method=item.method,
-    )
-    seed = derive_seed(
-        config.campaign_seed, "compare", spec.function_id, spec.dimension, inst, run_seed
-    )
+    key = item.key
+    row = {**dict.fromkeys(ALPHA_COLUMNS), **key._asdict(), "method": item.method}
+    seed = derive_seed(config.campaign_seed, "compare", *key)
     try:
-        instance = make_instance(spec, inst)
+        instance = key.instance()
         params, record = item.params, None
         if item.method == METHOD_PREDICTIVE:
             trace, score, record = run_predictive(
                 instance, model, table, config.sigma, config.budget, seed
             )
             # the store keys records by the test key's seed, as training does
-            record = replace(record, run_seed=run_seed)
+            record = replace(record, run_seed=key.run_seed)
             params = record.params
         else:
             if item.method == METHOD_SHADE:
@@ -432,13 +440,7 @@ def _run_compare_item(config: CampaignConfig, model, table, item: _CompareItem) 
 
 
 def _row_order(row: dict) -> tuple:
-    return (
-        row["function_id"],
-        row["dim"],
-        row["instance_seed"],
-        row["run_seed"],
-        METHOD_ORDER.index(row["method"]),
-    )
+    return (*_key(row), METHOD_ORDER.index(row["method"]))
 
 
 @dataclass
@@ -458,15 +460,8 @@ def compute_wilcoxon_rows(alpha_rows: list) -> list:
     """Pairwise signed-rank tests over rows sharing identical test keys."""
     by_method: dict[str, dict] = {}
     for row in alpha_rows:
-        if row["status"] != "ok":
-            continue
-        key = (
-            row["function_id"],
-            int(row["dim"]),
-            int(row["instance_seed"]),
-            int(row["run_seed"]),
-        )
-        by_method.setdefault(row["method"], {})[key] = float(row["alpha"])
+        if row["status"] == "ok":
+            by_method.setdefault(row["method"], {})[_key(row)] = row["alpha"]
     present = [m for m in METHOD_ORDER if m in by_method]
     out = []
     for i, method_a in enumerate(present):
@@ -546,7 +541,7 @@ def cmd_compare(config: CampaignConfig) -> ComparisonReport:
         )
 
     items = [
-        _CompareItem(method, *key, _fixed_params(method, key[0].dimension, store))
+        _CompareItem(method, key, _fixed_params(method, key.dim, store))
         for method in config.methods
         if method != METHOD_PREDICTIVE
         for key in keys
@@ -559,7 +554,7 @@ def cmd_compare(config: CampaignConfig) -> ComparisonReport:
         batches = [keys] if config.retrain == "per-batch" else [[k] for k in keys]
     results = []
     for batch in batches:
-        items += [_CompareItem(METHOD_PREDICTIVE, *key) for key in batch]
+        items += [_CompareItem(METHOD_PREDICTIVE, key) for key in batch]
         run = partial(_run_compare_item, config, model, table)
         done = pool_map(run, items, config.workers, chunksize=4)
         items = []
@@ -606,18 +601,10 @@ def cmd_features(config: CampaignConfig) -> str:
     rows = []
     for sigma in sigmas:
         group = []
-        for spec, inst, seed in keys:
-            item_seed = derive_seed(
-                config.campaign_seed,
-                "features-cmd",
-                spec.function_id,
-                spec.dimension,
-                inst,
-                seed,
-                sigma,
-            )
-            beta = extract_features(make_instance(spec, inst), sigma, item_seed)
-            group.append((sigma, spec.function_id, spec.dimension, inst, seed, beta))
+        for key in keys:
+            item_seed = derive_seed(config.campaign_seed, "features-cmd", *key, sigma)
+            beta = extract_features(key.instance(), sigma, item_seed)
+            group.append((sigma, *key, beta))
         points = np.array([beta.as_array() for *_, beta in group])
         model = cluster.fit(
             points, config.kappa, seed=config.campaign_seed, scale=config.feature_scaling
@@ -689,10 +676,12 @@ def cmd_recommend(
 
 
 def read_alpha_csv(path: str) -> list:
-    """The rows of an alpha.csv as string dicts.  A missing column, a
-    non-integer dim or seed, a non-numeric or non-finite alpha on an ok row,
-    an unknown method, or a second row for the same test key and method
-    raises ``ContractError`` naming the file and its 1-based line."""
+    """The rows of an alpha.csv as ``compare`` made them, each cell of its
+    ``ALPHA_TYPES`` type or None if empty.  A missing column, a cell of the
+    wrong type (an empty key cell or ok row's alpha too), a non-finite alpha
+    on an ok row, an unknown method, a status neither "ok" nor "failed: ...",
+    or a repeated test key and method raises ``ContractError`` naming the
+    file and its 1-based line."""
     rows = []
     seen = set()
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -702,30 +691,30 @@ def read_alpha_csv(path: str) -> list:
             raise ContractError(f"{path}:1: missing columns {missing}")
         for raw in reader:
             where = f"{path}:{reader.line_num}"
-            numeric = {"dim": int, "instance_seed": int, "run_seed": int}
-            if raw["status"] == "ok":
-                numeric["alpha"] = float
-            for column, kind in numeric.items():
+            ok = raw["status"] == "ok"
+            required = _TestKey._fields + (("alpha",) if ok else ())
+            row = {}
+            for column, kind in ALPHA_TYPES.items():
+                text = raw[column]
+                if text in ("", None) and column not in required:
+                    row[column] = None
+                    continue
                 try:
-                    kind(raw[column])
+                    row[column] = kind(text)
                 except (ValueError, TypeError) as exc:
                     what = "an integer" if kind is int else "a number"
-                    raise ContractError(
-                        f"{where}: {column} must be {what}, got {raw[column]!r}"
-                    ) from exc
-            if "alpha" in numeric and not np.isfinite(float(raw["alpha"])):
+                    raise ContractError(f"{where}: {column} must be {what}, got {text!r}") from exc
+            if ok and not np.isfinite(row["alpha"]):
                 raise ContractError(f"{where}: alpha must be finite, got {raw['alpha']!r}")
-            if raw["method"] not in METHOD_ORDER:
-                raise ContractError(f"{where}: unknown method {raw['method']!r}")
-            key = (
-                raw["function_id"],
-                *(int(raw[c]) for c in ("dim", "instance_seed", "run_seed")),
-                raw["method"],
-            )
+            if row["method"] not in METHOD_ORDER:
+                raise ContractError(f"{where}: unknown method {row['method']!r}")
+            if not (ok or (row["status"] or "").startswith("failed: ")):
+                raise ContractError(f"{where}: unknown status {row['status']!r}")
+            key = (*_key(row), row["method"])
             if key in seen:
                 raise ContractError(f"{where}: repeated test key and method {key}")
             seen.add(key)
-            rows.append(raw)
+            rows.append(row)
     return rows
 
 
@@ -736,7 +725,7 @@ def cmd_report(out_dir: str) -> list:
     by_method: dict[str, list] = {}
     for row in rows:
         if row["status"] == "ok":
-            by_method.setdefault(row["method"], []).append(float(row["alpha"]))
+            by_method.setdefault(row["method"], []).append(row["alpha"])
     for method in METHOD_ORDER:
         if method in by_method:
             vals = by_method[method]

@@ -69,7 +69,8 @@ class TrainingRecord:
 
     @classmethod
     def from_json_line(cls, line: str) -> "TrainingRecord":
-        """A non-finite p1, p2, beta or alpha raises ``ValueError``."""
+        """A non-finite p1, p2, beta or alpha, or a triple that
+        ``ControlParams.validate`` rejects, raises ``ValueError``."""
         raw = json.loads(line)
 
         def finite(key: str) -> float:
@@ -78,8 +79,10 @@ class TrainingRecord:
                 raise ValueError(f"{key} must be finite, got {raw[key]!r}")
             return value
 
+        p1, p2, p3 = finite("p1"), finite("p2"), raw["p3"]
+        ControlParams(p1, p2, p3).validate()  # before int() could truncate p3
         return cls(
-            params=ControlParams(p1=finite("p1"), p2=finite("p2"), p3=int(raw["p3"])),
+            params=ControlParams(p1, p2, int(p3)),
             features=FeatureVector(
                 beta1=finite("beta1"), beta2=finite("beta2"), beta3=finite("beta3")
             ),

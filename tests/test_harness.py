@@ -168,6 +168,35 @@ def test_failed_runs_are_explicit_rows(trained, monkeypatch):
     assert report.n_failed == 6
 
 
+def test_report_reads_back_the_rows_compare_wrote(trained, monkeypatch):
+    out, _, _ = trained
+    evaluate = ObjectiveInstance.evaluate_batch
+    raised = []
+
+    # one worker runs the items in order, so only the first run on tablet fails
+    def first_tablet_run_fails(self, points):
+        if not raised and self.spec.function_id == "tablet":
+            raised.append(self.spec.function_id)
+            raise FloatingPointError("tablet cannot be evaluated")
+        return evaluate(self, points)
+
+    monkeypatch.setattr(ObjectiveInstance, "evaluate_batch", first_tablet_run_fails)
+    config = train_config(
+        out,
+        suite="holdout",
+        out=str(out / "round-trip"),
+        store_path=str(out / "store.jsonl"),
+        methods=harness.METHOD_ORDER,
+    )
+    report = cmd_compare(config)
+    assert report.n_failed == 1
+    path = out / "round-trip" / "alpha.csv"
+    rows = harness.read_alpha_csv(str(path))
+    assert rows == report.alpha_rows
+    harness._write_csv(out / "round-trip" / "again.csv", harness.ALPHA_COLUMNS, rows)
+    assert (out / "round-trip" / "again.csv").read_bytes() == path.read_bytes()
+
+
 def test_nan_objective_runs_are_failed_rows(trained, monkeypatch):
     out, _, _ = trained
     charged = {}
@@ -217,9 +246,9 @@ def test_self_comparison_is_null():
     assert out[0]["p"] == 1.0
 
 
-def test_wilcoxon_rows_pair_only_keys_ok_for_both_methods():
-    # keys in shuffled order, with string fields as read back from alpha.csv,
-    # so pairing must parse the key and sort it (dim 10 after dim 2)
+def test_wilcoxon_rows_pair_only_keys_ok_for_both_methods(tmp_path):
+    # keys in shuffled order, written to an alpha.csv as strings and read
+    # back, so the key is parsed and pairing must sort it (dim 10 after dim 2)
     keys = [
         ("sphere", "10", "1", "0"),
         ("ackley", "2", "1", "1"),
@@ -256,7 +285,10 @@ def test_wilcoxon_rows_pair_only_keys_ok_for_both_methods():
         shared.sort(key=lambda k: (keys[k][0], *map(int, keys[k][1:])))
         return wilcoxon(np.array([alpha[a, k] - alpha[b, k] for k in shared]))
 
-    out = {(r["method_a"], r["method_b"]): r for r in compute_wilcoxon_rows(rows)}
+    path = tmp_path / "alpha.csv"
+    harness._write_csv(path, harness.ALPHA_COLUMNS, rows)
+    read_back = harness.read_alpha_csv(str(path))
+    out = {(r["method_a"], r["method_b"]): r for r in compute_wilcoxon_rows(read_back)}
     assert list(out) == [
         ("predictive", "shade"),
         ("predictive", "literature"),
@@ -481,6 +513,10 @@ _GOOD_ALPHA_ROWS = [
         (6, "alpha", "-Infinity", "alpha must be finite, got '-Infinity'"),
         (5, "run_seed", None, "run_seed must be an integer, got None"),  # a short row
         (3, "method", "literatur", "unknown method 'literatur'"),
+        (3, "status", "maybe", "unknown status 'maybe'"),
+        (6, "status", "failed", "unknown status 'failed'"),
+        (4, "p1", "x", "p1 must be a number, got 'x'"),
+        (5, "evals", "abc", "evals must be an integer, got 'abc'"),
         (
             6,
             "run_seed",

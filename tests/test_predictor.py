@@ -22,7 +22,7 @@ from tuneseer.predictor import (
     run_predictive,
     top_set_size,
 )
-from tuneseer.sampling import ControlParams
+from tuneseer.sampling import MIN_POP_SIZE, ControlParams
 
 
 def rec(p1, p2, p3, beta, alpha, fid="sphere", dim=2, seed=0):
@@ -188,12 +188,18 @@ def test_serialized_store_is_byte_prefix_of_grown_store(tmp_path):
     assert b.read_bytes().startswith(a.read_bytes())
 
 
-# a store holds finite numbers only; a non-finite one is a load error (below)
+# a store holds finite numbers and valid triples only; anything else is a
+# load error (below)
 _floats = st.floats(allow_nan=False, allow_infinity=False)
 _ints = st.integers(-(2**63), 2**63 - 1)
 _records = st.builds(
     TrainingRecord,
-    params=st.builds(ControlParams, p1=_floats, p2=_floats, p3=_ints),
+    params=st.builds(
+        ControlParams,
+        p1=st.floats(0, 1),
+        p2=st.floats(min_value=0, allow_infinity=False),
+        p3=st.integers(MIN_POP_SIZE, 2**63 - 1),
+    ),
     features=st.builds(FeatureVector, beta1=_floats, beta2=_floats, beta3=_floats),
     alpha=_floats,
     function_id=st.text(),
@@ -291,6 +297,30 @@ def test_load_rejects_non_finite_numbers(tmp_path, key, value):
     with pytest.raises(ContractError) as info:
         TrainingStore.load(path)
     assert str(info.value) == f"{path}:5: bad record: {key} must be finite, got {value!r}"
+
+
+@pytest.mark.parametrize(
+    "key,value,reason",
+    [
+        ("p1", 1.5, "p1 must be in [0, 1], got 1.5"),
+        ("p1", -0.25, "p1 must be in [0, 1], got -0.25"),
+        ("p2", -0.5, "p2 must be >= 0, got -0.5"),
+        ("p3", 7.9, f"p3 must be an integer >= {MIN_POP_SIZE}, got 7.9"),  # not truncated
+        ("p3", 3, f"p3 must be an integer >= {MIN_POP_SIZE}, got 3"),
+    ],
+)
+def test_load_rejects_an_invalid_parameter_triple(tmp_path, key, value, reason):
+    store, _, _ = synthetic_store()
+    path = tmp_path / "store.jsonl"
+    store.save(path)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[1])
+    record[key] = value
+    lines[1] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ContractError) as info:
+        TrainingStore.load(path)
+    assert str(info.value) == f"{path}:2: bad record: {reason}"
 
 
 def test_run_predictive_budget_accounting():
