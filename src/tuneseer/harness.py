@@ -13,10 +13,11 @@ Outputs under the campaign directory:
     features.csv                   feature table with cluster assignments
     curves/<function>_<dim>_<seed>.csv   improvement-only convergence rows
 
-Every run is seeded from the campaign seed and its test key (``_TestKey``),
-so repeated campaigns with the same configuration reproduce alpha.csv
-byte-identically.  Failed runs are kept as explicit rows, never dropped
-silently, and ``report`` reads back the typed rows ``compare`` wrote.
+A run's one key, ``predictor.RunKey``, is held by its task, kept by its
+store record and starts its alpha.csv row.  Every run is seeded from the
+campaign seed and its key, so repeated campaigns reproduce alpha.csv
+byte-identically.  Failed runs are kept as explicit rows, and ``report``
+reads back only rows ``compare`` can write, as the typed rows it wrote.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numbers
 import os
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
-from typing import NamedTuple, Optional, get_type_hints
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -43,7 +44,7 @@ from .bench import (
 from .errors import ContractError
 from .features import FeatureVector, extract_features
 from .metric import compute_alpha
-from .predictor import TrainingRecord, TrainingStore, run_predictive
+from .predictor import RunKey, TrainingRecord, TrainingStore, run_predictive
 from .sampling import DEFAULT_PARAM_RANGES, ControlParams, derive_seed, lhs_params, substream
 from .stats import wilcoxon
 
@@ -61,30 +62,15 @@ DESIGN_MAX_POP = int(DEFAULT_PARAM_RANGES[2][1])
 COMPARE_INSTANCE_OFFSET = 100
 
 
-class _TestKey(NamedTuple):
-    """alpha.csv's first four columns, in order: every method of a key runs
-    on the same instance and draws from the same stream."""
-
-    function_id: str
-    dim: int
-    instance_seed: int
-    run_seed: int
-
-    def instance(self):
-        return make_instance(ObjectiveSpec(self.function_id, self.dim), self.instance_seed)
-
-
-def _key(row: dict) -> _TestKey:
-    return _TestKey(*(row[name] for name in _TestKey._fields))
+def _key(row: dict) -> RunKey:
+    return RunKey(*(row[name] for name in RunKey._fields))
 
 
 # alpha.csv's columns and the type each cell is read back as
 ALPHA_TYPES = {
-    **get_type_hints(_TestKey),
+    **get_type_hints(RunKey),
     "method": str,
-    "p1": float,
-    "p2": float,
-    "p3": int,
+    **get_type_hints(ControlParams),
     "alpha": float,
     "evals": int,
     "g_star": int,
@@ -96,17 +82,8 @@ WILCOXON_COLUMNS = ("method_a", "method_b", "n", "W", "p")
 
 CURVE_COLUMNS = ("method", "instance_seed", "gen", "evals", "best")
 
-FEATURE_COLUMNS = (
-    "sigma",
-    "function_id",
-    "dim",
-    "instance_seed",
-    "seed",
-    "beta1",
-    "beta2",
-    "beta3",
-    "cluster",
-)
+# sigma, the test key with its run seed named "seed", the features, the cluster
+FEATURE_COLUMNS = ("sigma", *RunKey._fields[:3], "seed", "beta1", "beta2", "beta3", "cluster")
 
 
 def _is_int(value) -> bool:
@@ -273,7 +250,7 @@ def _test_keys(config: CampaignConfig, specs: list[ObjectiveSpec]) -> list:
     """Every test key the comparison and feature commands run, in output
     order."""
     return [
-        _TestKey(spec.function_id, spec.dimension, inst, seed)
+        RunKey(spec.function_id, spec.dimension, inst, seed)
         for spec in specs
         for inst in config.compare_instance_seeds()
         for seed in config.seeds
@@ -320,21 +297,22 @@ def pool_map(fn, items: list, workers: int, chunksize: int) -> list:
 
 @dataclass(frozen=True)
 class _TrainingItem:
-    spec: ObjectiveSpec
-    instance_seed: int
+    """One run: its key, and its parameter set's index in the design."""
+
+    key: RunKey
+    param_idx: int
     params: ControlParams
-    run_seed: int
-    item_seed: int
 
 
-def _run_training_item(sigma: int, budget: int, item: _TrainingItem) -> TrainingRecord:
-    """One training run's store record, its features sampled first."""
-    instance = make_instance(item.spec, item.instance_seed)
+def _run_training_item(config: CampaignConfig, item: _TrainingItem) -> TrainingRecord:
+    """One training run's store record, its features sampled first, seeded
+    by the campaign seed, the key and the parameter set."""
+    key = item.key
+    seed = derive_seed(config.campaign_seed, "train", *key[:3], item.param_idx, key.run_seed)
     _, _, record = predictor._featured_run(
-        instance, lambda _: item.params, sigma, budget,
-        seed=item.item_seed, run_seed=item.run_seed,
+        key.instance(), lambda _: item.params, config.sigma, config.budget, seed
     )
-    return record
+    return replace(record, key=key)
 
 
 def cmd_train(config: CampaignConfig) -> str:
@@ -352,17 +330,14 @@ def cmd_train(config: CampaignConfig) -> str:
     specs = config.suite_specs()
     items = []
     for spec in specs:
-        key = (spec.function_id, spec.dimension)
-        design_rng = substream(config.campaign_seed, "param-design", *key)
+        design = (spec.function_id, spec.dimension)
+        design_rng = substream(config.campaign_seed, "param-design", *design)
         param_sets = lhs_params(config.n_param_sets, design_rng)
         for inst in config.train_instance_seeds():
             for param_idx, params in enumerate(param_sets):
                 for run_seed in config.train_seeds:
-                    item_seed = derive_seed(
-                        config.campaign_seed, "train", *key, inst, param_idx, run_seed
-                    )
-                    items.append(_TrainingItem(spec, inst, params, run_seed, item_seed))
-    run = partial(_run_training_item, config.sigma, config.budget)
+                    items.append(_TrainingItem(RunKey(*design, inst, run_seed), param_idx, params))
+    run = partial(_run_training_item, config)
     store = TrainingStore(pool_map(run, items, config.workers, chunksize=8))
     store.save(path)
     _write_suite_json(config.out, specs)
@@ -371,7 +346,7 @@ def cmd_train(config: CampaignConfig) -> str:
         f"trained {len(store)} records -> {path}\n"
         f"best alpha {best.alpha!r} at p=({best.params.p1:.3f}, "
         f"{best.params.p2:.3f}, {best.params.p3}) "
-        f"on {best.function_id} D={best.dim}"
+        f"on {best.key.function_id} D={best.key.dim}"
     )
     return path
 
@@ -388,7 +363,7 @@ class _CompareItem:
     ``_run_compare_item`` instead."""
 
     method: str
-    key: _TestKey
+    key: RunKey
     params: Optional[ControlParams] = None  # fixed-parameter methods
 
 
@@ -418,8 +393,8 @@ def _run_compare_item(config: CampaignConfig, model, table, item: _CompareItem) 
             trace, score, record = run_predictive(
                 instance, model, table, config.sigma, config.budget, seed
             )
-            # the store keys records by the test key's seed, as training does
-            record = replace(record, run_seed=key.run_seed)
+            # the store keys records by the test key, as training does
+            record = replace(record, key=key)
             params = record.params
         else:
             if item.method == METHOD_SHADE:
@@ -432,7 +407,7 @@ def _run_compare_item(config: CampaignConfig, model, table, item: _CompareItem) 
         row["status"] = f"failed: {exc}"
         return row, None, ()
     if params is not None:
-        row.update(p1=params.p1, p2=params.p2, p3=params.p3)
+        row.update(vars(params))
     row.update(
         alpha=score.alpha, evals=trace.evals_used, g_star=score.g_star, status="ok"
     )
@@ -600,17 +575,16 @@ def cmd_features(config: CampaignConfig) -> str:
     keys = _test_keys(config, config.suite_specs())
     rows = []
     for sigma in sigmas:
-        group = []
+        betas = []
         for key in keys:
-            item_seed = derive_seed(config.campaign_seed, "features-cmd", *key, sigma)
-            beta = extract_features(key.instance(), sigma, item_seed)
-            group.append((sigma, *key, beta))
-        points = np.array([beta.as_array() for *_, beta in group])
+            seed = derive_seed(config.campaign_seed, "features-cmd", *key, sigma)
+            betas.append(extract_features(key.instance(), sigma, seed))
+        points = np.array([beta.as_array() for beta in betas])
         model = cluster.fit(
             points, config.kappa, seed=config.campaign_seed, scale=config.feature_scaling
         )
-        for (*head, beta), label in zip(group, model.classify_all(points)):
-            values = (*head, beta.beta1, beta.beta2, beta.beta3, int(label))
+        for key, beta, label in zip(keys, betas, model.classify_all(points)):
+            values = (sigma, *key, *vars(beta).values(), int(label))
             rows.append(dict(zip(FEATURE_COLUMNS, values)))
     path = os.path.join(config.out, "features.csv")
     _write_csv(path, FEATURE_COLUMNS, rows)
@@ -662,55 +636,71 @@ def cmd_recommend(
         sigma = CampaignConfig.sigma if sigma is None else sigma
         beta_vec = extract_features(instance, sigma, seed or 0)
     params, cluster_idx = predictor.recommend(model, table, beta_vec)
-    result = {
-        "p1": params.p1,
-        "p2": params.p2,
-        "p3": params.p3,
-        "cluster": cluster_idx,
-        "beta1": beta_vec.beta1,
-        "beta2": beta_vec.beta2,
-        "beta3": beta_vec.beta3,
-    }
+    result = {**vars(params), "cluster": cluster_idx, **vars(beta_vec)}
     print(json.dumps(result))
     return result
 
 
 def read_alpha_csv(path: str) -> list:
     """The rows of an alpha.csv as ``compare`` made them, each cell of its
-    ``ALPHA_TYPES`` type or None if empty.  A missing column, a cell of the
-    wrong type (an empty key cell or ok row's alpha too), a non-finite alpha
-    on an ok row, an unknown method, a status neither "ok" nor "failed: ...",
-    or a repeated test key and method raises ``ContractError`` naming the
-    file and its 1-based line."""
+    ``ALPHA_TYPES`` type or None if empty.  A row ``compare`` cannot write
+    raises ``ContractError`` naming the file and its 1-based line: a header
+    other than ``ALPHA_COLUMNS`` or a cell past it, a cell not as ``_fmt``
+    writes its value or not finite, an unknown method or status, an ok row
+    with an empty cell (but shade's triple) or an invalid triple, a failed
+    row with more than its key, method and status, or a repeated key."""
     rows = []
     seen = set()
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        missing = [c for c in ALPHA_COLUMNS if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ContractError(f"{path}:1: missing columns {missing}")
+        header = list(reader.fieldnames or ())
+        if header != list(ALPHA_COLUMNS):
+            missing = [c for c in ALPHA_COLUMNS if c not in header]
+            if missing:
+                raise ContractError(f"{path}:1: missing columns {missing}")
+            raise ContractError(f"{path}:1: columns must be {list(ALPHA_COLUMNS)}, got {header}")
         for raw in reader:
             where = f"{path}:{reader.line_num}"
-            ok = raw["status"] == "ok"
-            required = _TestKey._fields + (("alpha",) if ok else ())
+            if None in raw:
+                raise ContractError(f"{where}: cells past the last column: {raw[None]}")
             row = {}
             for column, kind in ALPHA_TYPES.items():
                 text = raw[column]
-                if text in ("", None) and column not in required:
+                if text in ("", None) and column not in RunKey._fields:
                     row[column] = None
                     continue
                 try:
-                    row[column] = kind(text)
+                    value = kind(text)
                 except (ValueError, TypeError) as exc:
                     what = "an integer" if kind is int else "a number"
                     raise ContractError(f"{where}: {column} must be {what}, got {text!r}") from exc
-            if ok and not np.isfinite(row["alpha"]):
-                raise ContractError(f"{where}: alpha must be finite, got {raw['alpha']!r}")
-            if row["method"] not in METHOD_ORDER:
-                raise ContractError(f"{where}: unknown method {row['method']!r}")
+                if kind is float and not np.isfinite(value):
+                    raise ContractError(f"{where}: {column} must be finite, got {text!r}")
+                written = _fmt(value)
+                if written != text:
+                    raise ContractError(f"{where}: {column} must read {written!r}, got {text!r}")
+                row[column] = value
+            method, ok = row["method"], row["status"] == "ok"
+            if method not in METHOD_ORDER:
+                raise ContractError(f"{where}: unknown method {method!r}")
             if not (ok or (row["status"] or "").startswith("failed: ")):
                 raise ContractError(f"{where}: unknown status {row['status']!r}")
-            key = (*_key(row), row["method"])
+            # the cells compare leaves empty: shade's triple, and every cell
+            # of a failed row between its method and its status
+            empty = ("p1", "p2", "p3") if method == METHOD_SHADE else ()
+            if not ok:
+                empty = ALPHA_COLUMNS[len(RunKey._fields) + 1 : -1]
+            which = f"{'an ok' if ok else 'a failed'} {method} row"
+            for column in ALPHA_COLUMNS:
+                if (row[column] is None) != (column in empty):
+                    state = "empty" if column in empty else "filled"
+                    raise ContractError(f"{where}: {column} must be {state} in {which}")
+            if not empty:  # an ok row with a fixed or chosen triple
+                try:
+                    ControlParams(row["p1"], row["p2"], row["p3"]).validate()
+                except ContractError as exc:
+                    raise ContractError(f"{where}: {exc}") from exc
+            key = (*_key(row), method)
             if key in seen:
                 raise ContractError(f"{where}: repeated test key and method {key}")
             seen.add(key)

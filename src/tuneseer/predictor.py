@@ -3,7 +3,9 @@ recommendation engine mined from it.
 
 A training campaign (``harness.cmd_train``) makes one record per
 optimization run, each through ``_featured_run`` with a fixed parameter
-triple, the same runner a predictive run uses.  To recommend
+triple, the same runner a predictive run uses.  A record names its run by
+its ``RunKey``; ``STORE_FIELDS`` declares a store line once, and a line is
+read back only in the form ``to_json_line`` writes it.  To recommend
 parameters for a new function, the stored feature vectors are clustered,
 the new function's features are classified, and the mean parameter triple of
 the top 10% of that cluster's records (ranked by score) is returned.
@@ -24,10 +26,12 @@ import math
 import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
 from . import cluster, de
+from .bench import ObjectiveSpec, make_instance
 from .errors import ContractError, NoDataError
 from .features import FeatureVector, extract_features
 from .metric import PerformanceScore, compute_alpha
@@ -36,64 +40,80 @@ from .sampling import MIN_POP_SIZE, ControlParams
 TOP_FRACTION = 0.1
 
 
+class RunKey(NamedTuple):
+    """A run's identity, and alpha.csv's first four columns in order: every
+    method of a test key runs on the same instance and draws from the same
+    stream, and a store record names the run it came from."""
+
+    function_id: str
+    dim: int
+    instance_seed: int
+    run_seed: int
+
+    def instance(self):
+        return make_instance(ObjectiveSpec(self.function_id, self.dim), self.instance_seed)
+
+
+# A store line: ``TrainingRecord``'s fields in order, the triple, the features
+# and the key spread into theirs, each with the type its JSON value reads as.
+STORE_FIELDS = {
+    **get_type_hints(ControlParams),
+    **get_type_hints(FeatureVector),
+    "alpha": float,
+    **get_type_hints(RunKey),
+    "sigma": int,
+    "timestamp": str,
+}
+_JSON_TYPES = {float: "a number", int: "an integer", str: "a string"}
+
+
 @dataclass(frozen=True)
 class TrainingRecord:
     params: ControlParams
     features: FeatureVector
     alpha: float
-    function_id: str
-    dim: int
-    instance_seed: int
-    run_seed: int
+    key: RunKey
     sigma: int
     timestamp: str
 
     def to_json_line(self) -> str:
-        return json.dumps(
-            {
-                "p1": self.params.p1,
-                "p2": self.params.p2,
-                "p3": self.params.p3,
-                "beta1": self.features.beta1,
-                "beta2": self.features.beta2,
-                "beta3": self.features.beta3,
-                "alpha": self.alpha,
-                "function_id": self.function_id,
-                "dim": self.dim,
-                "instance_seed": self.instance_seed,
-                "run_seed": self.run_seed,
-                "sigma": self.sigma,
-                "timestamp": self.timestamp,
-            }
-        )
+        params, features = vars(self.params).values(), vars(self.features).values()
+        values = (*params, *features, self.alpha, *self.key, self.sigma, self.timestamp)
+        return json.dumps(dict(zip(STORE_FIELDS, values, strict=True)))
 
     @classmethod
     def from_json_line(cls, line: str) -> "TrainingRecord":
-        """A non-finite p1, p2, beta or alpha, or a triple that
-        ``ControlParams.validate`` rejects, raises ``ValueError``."""
+        """The record of a line in the form ``to_json_line`` writes: a JSON
+        object of exactly the ``STORE_FIELDS`` fields, each value of its
+        JSON type (a float field also takes a JSON integer), a finite number
+        in each float field, and a triple that ``ControlParams.validate``
+        accepts.  A missing field raises ``KeyError``, anything else
+        ``ValueError``; a float in an integer field is named after the
+        triple is validated, so a population of 7.9 is named as one.  A
+        repeated field keeps its last value, as ``json.loads`` reads it."""
         raw = json.loads(line)
-
-        def finite(key: str) -> float:
-            value = float(raw[key])
-            if not math.isfinite(value):
-                raise ValueError(f"{key} must be finite, got {raw[key]!r}")
-            return value
-
-        p1, p2, p3 = finite("p1"), finite("p2"), raw["p3"]
-        ControlParams(p1, p2, p3).validate()  # before int() could truncate p3
-        return cls(
-            params=ControlParams(p1, p2, int(p3)),
-            features=FeatureVector(
-                beta1=finite("beta1"), beta2=finite("beta2"), beta3=finite("beta3")
-            ),
-            alpha=finite("alpha"),
-            function_id=str(raw["function_id"]),
-            dim=int(raw["dim"]),
-            instance_seed=int(raw["instance_seed"]),
-            run_seed=int(raw["run_seed"]),
-            sigma=int(raw["sigma"]),
-            timestamp=str(raw["timestamp"]),
-        )
+        if type(raw) is not dict:
+            raise ValueError(f"expected a JSON object, got {raw!r}")
+        values, inexact = [], []
+        for name, kind in STORE_FIELDS.items():
+            value = raw[name]
+            if type(value) is not kind:
+                if kind is float and type(value) is int:
+                    value = float(value)
+                elif kind is int and type(value) is float and math.isfinite(value):
+                    inexact.append((name, value))
+                else:
+                    raise ValueError(f"{name} must be {_JSON_TYPES[kind]}, got {value!r}")
+            elif kind is float and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            values.append(value)
+        if len(raw) > len(values):
+            raise ValueError(f"unknown fields {sorted(raw.keys() - STORE_FIELDS.keys())}")
+        params = ControlParams(*values[:3]).validate()
+        if inexact:
+            raise ValueError("{} must be an integer, got {!r}".format(*inexact[0]))
+        features, key = FeatureVector(*values[3:6]), RunKey(*values[7:11])
+        return cls(params, features, values[6], key, *values[11:])
 
 
 class TrainingStore:
@@ -153,7 +173,7 @@ class TrainingStore:
                     raise ContractError(
                         f"{path}:{lineno}: record has no field {exc}"
                     ) from exc
-                except (ValueError, TypeError) as exc:
+                except (ValueError, TypeError, OverflowError) as exc:  # an int past float range
                     raise ContractError(f"{path}:{lineno}: bad record: {exc}") from exc
         return cls(records, path=path)
 
@@ -225,29 +245,19 @@ def recommend(
 
 
 def _featured_run(
-    instance, choose, sigma: int, budget: int, seed: int, run_seed: int
+    instance, choose, sigma: int, budget: int, seed: int
 ) -> tuple[de.RunTrace, PerformanceScore, TrainingRecord]:
     """Extract features from sigma evaluations, optimize with
     ``choose(features)`` on the remaining budget, and score the combined
-    cost; the record stores ``run_seed``."""
+    cost; the record's key names the instance and ``seed`` as its run seed."""
     if budget <= sigma:
         raise ContractError(f"budget {budget} must exceed sigma {sigma}")
     beta = extract_features(instance, sigma, seed)
     params = choose(beta)
     trace = de.optimize(instance, params, budget - sigma, seed)
     score = compute_alpha(trace)
-    record = TrainingRecord(
-        params=params,
-        features=beta,
-        alpha=score.alpha,
-        function_id=instance.spec.function_id,
-        dim=instance.dimension,
-        instance_seed=instance.instance_seed,
-        run_seed=run_seed,
-        sigma=sigma,
-        timestamp=_utc_now(),
-    )
-    return trace, score, record
+    key = RunKey(instance.spec.function_id, instance.dimension, instance.instance_seed, seed)
+    return trace, score, TrainingRecord(params, beta, score.alpha, key, sigma, _utc_now())
 
 
 def run_predictive(
@@ -264,10 +274,9 @@ def run_predictive(
     the instance) and ``recommend`` maps them to their cluster's ``table``
     entry; the optimizer runs with it on the remaining budget, and the score
     covers the combined cost.  ``(model, table)`` is what
-    ``recommendation_table`` returns; the record stores ``seed`` as its run
-    seed.
+    ``recommendation_table`` returns; the record's key holds ``seed`` as its
+    run seed.
     """
     return _featured_run(
-        instance, lambda beta: recommend(model, table, beta)[0], sigma, budget,
-        seed=seed, run_seed=seed,
+        instance, lambda beta: recommend(model, table, beta)[0], sigma, budget, seed
     )

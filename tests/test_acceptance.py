@@ -19,6 +19,7 @@ from tuneseer.features import FeatureVector, extract_features, iqr, skew
 from tuneseer.harness import CampaignConfig, cmd_compare, cmd_train
 from tuneseer.metric import compute_alpha
 from tuneseer.predictor import (
+    RunKey,
     TrainingRecord,
     TrainingStore,
     recommend,
@@ -279,10 +280,7 @@ def test_criterion_8_predictor_arithmetic():
             params=ControlParams(p1, p2, p3),
             features=FeatureVector(*beta),
             alpha=alpha,
-            function_id="sphere",
-            dim=int(beta[0]),
-            instance_seed=1,
-            run_seed=seed,
+            key=RunKey("sphere", int(beta[0]), 1, seed),
             sigma=100,
             timestamp="2026-01-01T00:00:00+00:00",
         )
@@ -324,10 +322,7 @@ def test_criterion_9_budget_accounting():
             params=ControlParams(0.5 + 0.01 * i, 0.5, 50 + i),
             features=FeatureVector(10.0, 1.0 + 0.01 * i, 0.3),
             alpha=float(i),
-            function_id="sphere",
-            dim=10,
-            instance_seed=1,
-            run_seed=i,
+            key=RunKey("sphere", 10, 1, i),
             sigma=1000,
             timestamp="2026-01-01T00:00:00+00:00",
         )

@@ -29,6 +29,7 @@ from tuneseer.harness import (
     compute_wilcoxon_rows,
 )
 from tuneseer.predictor import (
+    RunKey,
     TrainingRecord,
     TrainingStore,
     recommend,
@@ -268,17 +269,19 @@ def test_wilcoxon_rows_pair_only_keys_ok_for_both_methods(tmp_path):
         for k, (fid, dim, inst, seed) in enumerate(keys):
             ok = k not in failed[method]
             alpha[method, k] = 0.1 * (k + 1) + 0.37 * m * (-1) ** k
-            rows.append(
-                {
-                    "function_id": fid,
-                    "dim": dim,
-                    "instance_seed": inst,
-                    "run_seed": seed,
-                    "method": method,
-                    "alpha": repr(alpha[method, k]) if ok else "",
-                    "status": "ok" if ok else "failed: boom",
-                }
-            )
+            row = {
+                "function_id": fid,
+                "dim": dim,
+                "instance_seed": inst,
+                "run_seed": seed,
+                "method": method,
+                "status": "failed: boom",
+            }
+            if ok:
+                # an ok row as compare writes it; shade adapts its own triple
+                triple = {} if method == "shade" else dict(p1=0.9, p2=0.5, p3=20)
+                row.update(triple, alpha=repr(alpha[method, k]), evals=900, g_star=3, status="ok")
+            rows.append(row)
 
     def expected(a, b):
         shared = [k for k in range(len(keys)) if k not in failed[a] | failed[b]]
@@ -370,10 +373,7 @@ def _write_small_store(path):
                 2.0 if i % 2 else 10.0, 0.2 + (i * 37 % 11) / 10, (i * 13 % 9) / 4 - 1
             ),
             alpha=float(i * 29 % 17),
-            function_id="sphere",
-            dim=2 if i % 2 else 10,
-            instance_seed=1,
-            run_seed=i,
+            key=RunKey("sphere", 2 if i % 2 else 10, 1, i),
             sigma=50,
             timestamp="2026-01-01T00:00:00+00:00",
         )
@@ -494,11 +494,13 @@ def _write_alpha_csv(path, columns, rows):
 # function_id, dim, instance_seed, run_seed, method, p1, p2, p3, alpha, evals,
 # g_star, status; the report reads back lines 2-7
 _GOOD_ALPHA_ROWS = [
-    ["sphere", "2", "101", str(seed), method, "", "", "", repr(0.1 * seed + m)]
+    ["sphere", "2", "101", str(seed), method, "0.9", "0.5", "20", repr(0.1 * seed + m)]
     + ["900", "3", "ok"]
     for seed in range(3)
     for m, method in enumerate(("predictive", "literature"))
 ]
+# a cell past the last column; on line 1, a column past the last
+_PAST_LAST = "past the last column"
 
 
 @pytest.mark.parametrize(
@@ -523,19 +525,38 @@ _GOOD_ALPHA_ROWS = [
             "0",  # line 2's test key and method again
             "repeated test key and method ('sphere', 2, 101, 0, 'predictive')",
         ),
+        # only what compare writes: each cell as _fmt writes its value
+        (2, "dim", "1_0", "dim must read '10', got '1_0'"),
+        (3, "dim", " 10 ", "dim must read '10', got ' 10 '"),
+        (4, "dim", "+2", "dim must read '2', got '+2'"),
+        (5, "alpha", "0.10", "alpha must read '0.1', got '0.10'"),
+        (6, "p3", "020", "p3 must read '20', got '020'"),
+        (1, _PAST_LAST, "note", "columns must be ["),
+        (3, _PAST_LAST, "note", "cells past the last column: ['note']"),
+        # an ok row is scored, and its triple is one a run can use
+        (2, "evals", "", "evals must be filled in an ok predictive row"),
+        (3, "g_star", "", "g_star must be filled in an ok literature row"),
+        (4, "p2", "", "p2 must be filled in an ok predictive row"),
+        (5, "p3", "3", "p3 must be an integer >= 5, got 3"),
+        (6, "p1", "1.5", "p1 must be in [0, 1], got 1.5"),
+        (3, "method", "shade", "p1 must be empty in an ok shade row"),
+        # a failed row is its key, method and status alone
+        (4, "status", "failed: boom", "p1 must be empty in a failed predictive row"),
     ],
 )
 def test_report_names_line_of_malformed_alpha_csv(
     tmp_path, capsys, line, column, value, message
 ):
-    rows = [list(r) for r in _GOOD_ALPHA_ROWS]
-    index = harness.ALPHA_COLUMNS.index(column)
-    if value is None:
-        del rows[line - 2][index:]
+    lines = [list(harness.ALPHA_COLUMNS)] + [list(r) for r in _GOOD_ALPHA_ROWS]
+    cells = lines[line - 1]
+    if column == _PAST_LAST:
+        cells.append(value)
+    elif value is None:
+        del cells[harness.ALPHA_COLUMNS.index(column) :]
     else:
-        rows[line - 2][index] = value
+        cells[harness.ALPHA_COLUMNS.index(column)] = value
     path = tmp_path / "alpha.csv"
-    _write_alpha_csv(path, harness.ALPHA_COLUMNS, rows)
+    _write_alpha_csv(path, lines[0], lines[1:])
     assert cli.main(["report", "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}:{line}: {message}")
@@ -556,7 +577,7 @@ def test_report_rejects_alpha_csv_without_a_column(tmp_path, capsys):
 
 def test_report_accepts_failed_rows_without_alpha(tmp_path):
     rows = [list(r) for r in _GOOD_ALPHA_ROWS]
-    rows[0][8:] = ["", "", "", "failed: boom"]
+    rows[0][5:] = ["", "", "", "", "", "", "failed: boom"]
     _write_alpha_csv(tmp_path / "alpha.csv", harness.ALPHA_COLUMNS, rows)
     (pair,) = cmd_report(str(tmp_path))
     assert pair["n"] == 2
@@ -798,7 +819,7 @@ def test_predictive_rows_replay_the_store(trained, retrain):
     assert len(new) == len(rows) == 12
     memory = TrainingStore(start)
     for record in new:
-        row = rows[(record.function_id, record.dim, record.instance_seed, record.run_seed)]
+        row = rows[record.key]
         fitted = recommendation_table(
             memory,
             config.kappa,
@@ -945,8 +966,37 @@ def test_train_counts_and_determinism(tmp_path):
     # 10 training functions x 1 dim x 1 instance x 3 param sets x 1 seed
     assert len(first) == 30
     again = TrainingStore.load(cmd_train(train_config(tmp_path / "b", **kw)))
-    strip = lambda r: (r.params, r.features, r.alpha, r.function_id, r.dim)
+    strip = lambda r: (r.params, r.features, r.alpha, r.key.function_id, r.key.dim)
     assert [strip(r) for r in first.records] == [strip(r) for r in again.records]
+
+
+def test_train_records_features_drawn_from_the_train_seed(trained):
+    # pins the label a training run's seed is derived from, and its order
+    _, config, path = trained
+    designs = {}
+    for record in TrainingStore.load(path).records:
+        key = record.key
+        if key[:2] not in designs:
+            rng = substream(config.campaign_seed, "param-design", *key[:2])
+            designs[key[:2]] = lhs_params(config.n_param_sets, rng)
+        param_idx = designs[key[:2]].index(record.params)
+        seed = derive_seed(config.campaign_seed, "train", *key[:3], param_idx, key.run_seed)
+        assert record.features == extract_features(key.instance(), config.sigma, seed)
+
+
+def test_compare_records_features_drawn_from_the_compare_seed(trained, tmp_path):
+    # pins the label a per-run predictive run's seed is derived from
+    out, _, store_path = trained
+    config = train_config(
+        out, suite="holdout", out=str(tmp_path), store_path=store_path, methods=("predictive",)
+    )
+    cmd_compare(config)
+    start = len(TrainingStore.load(store_path))
+    new = TrainingStore.load(tmp_path / "store_after_compare.jsonl").records[start:]
+    assert len(new) == 12
+    for record in new:
+        seed = derive_seed(config.campaign_seed, "compare", *record.key)
+        assert record.features == extract_features(record.key.instance(), config.sigma, seed)
 
 
 def test_train_validates_budget(tmp_path):
@@ -977,7 +1027,7 @@ def test_train_store_does_not_depend_on_workers(tmp_path):
             for params in design:
                 for seed in (0, 1):
                     expected.append((*key, inst, params, seed))
-    order = [(r.function_id, r.dim, r.instance_seed, r.params, r.run_seed) for r in records]
+    order = [(*r.key[:3], r.params, r.key.run_seed) for r in records]
     assert order == expected
 
 

@@ -15,6 +15,7 @@ from tuneseer.cluster import ClusterModel, FeatureScaler
 from tuneseer.errors import ContractError, NoDataError
 from tuneseer.features import FeatureVector, extract_features
 from tuneseer.predictor import (
+    RunKey,
     TrainingRecord,
     TrainingStore,
     recommend,
@@ -30,10 +31,7 @@ def rec(p1, p2, p3, beta, alpha, fid="sphere", dim=2, seed=0):
         params=ControlParams(p1, p2, p3),
         features=FeatureVector(*beta),
         alpha=alpha,
-        function_id=fid,
-        dim=dim,
-        instance_seed=1,
-        run_seed=seed,
+        key=RunKey(fid, dim, 1, seed),
         sigma=100,
         timestamp="2026-01-01T00:00:00+00:00",
     )
@@ -202,10 +200,9 @@ _records = st.builds(
     ),
     features=st.builds(FeatureVector, beta1=_floats, beta2=_floats, beta3=_floats),
     alpha=_floats,
-    function_id=st.text(),
-    dim=_ints,
-    instance_seed=_ints,
-    run_seed=_ints,
+    key=st.builds(
+        RunKey, function_id=st.text(), dim=_ints, instance_seed=_ints, run_seed=_ints
+    ),
     sigma=_ints,
     timestamp=st.text(),
 )
@@ -321,6 +318,50 @@ def test_load_rejects_an_invalid_parameter_triple(tmp_path, key, value, reason):
     with pytest.raises(ContractError) as info:
         TrainingStore.load(path)
     assert str(info.value) == f"{path}:2: bad record: {reason}"
+
+
+@pytest.mark.parametrize(
+    "change,reason",
+    [
+        ({"dim": 10.7}, "dim must be an integer, got 10.7"),
+        ({"dim": True}, "dim must be an integer, got True"),
+        ({"run_seed": "3"}, "run_seed must be an integer, got '3'"),
+        ({"sigma": 99.9}, "sigma must be an integer, got 99.9"),
+        ({"p3": 20.0}, "p3 must be an integer, got 20.0"),
+        ({"p3": math.inf}, "p3 must be an integer, got inf"),
+        ({"p3": None}, "p3 must be an integer, got None"),
+        ({"p3": "7"}, "p3 must be an integer, got '7'"),
+        ({"p1": True}, "p1 must be a number, got True"),
+        ({"alpha": "1.5"}, "alpha must be a number, got '1.5'"),
+        ({"alpha": 10**400}, "int too large to convert to float"),
+        ({"function_id": 5}, "function_id must be a string, got 5"),
+        ({"timestamp": 7}, "timestamp must be a string, got 7"),
+        ({"extra": 1, "dimm": 10}, "unknown fields ['dimm', 'extra']"),
+        ("[1, 2]", "expected a JSON object, got [1, 2]"),
+    ],
+)
+def test_load_reads_a_record_only_in_the_form_it_is_written(tmp_path, change, reason):
+    store, _, _ = synthetic_store()
+    path = tmp_path / "store.jsonl"
+    store.save(path)
+    lines = path.read_text().splitlines()
+    if isinstance(change, str):
+        lines[3] = change
+    else:
+        lines[3] = json.dumps({**json.loads(lines[3]), **change})
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ContractError) as info:
+        TrainingStore.load(path)
+    assert str(info.value) == f"{path}:4: bad record: {reason}"
+
+
+def test_load_reads_integers_in_float_fields_as_floats(tmp_path):
+    store = TrainingStore([rec(1, 0, 20, (2, 1, 0), 3)])
+    path = tmp_path / "store.jsonl"
+    store.save(path)
+    (loaded,) = TrainingStore.load(path).records
+    assert loaded == store.records[0]
+    assert [type(v) for v in (loaded.params.p1, loaded.features.beta1, loaded.alpha)] == [float] * 3
 
 
 def test_run_predictive_budget_accounting():
