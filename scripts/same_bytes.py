@@ -9,9 +9,10 @@ PYTHONPATH=BASE_SRC and once with this checkout's src/, each side in its
 own temporary directory.  Each step's stdout is kept as
 stdout/<step>.txt.  Then compares every file byte for byte: alpha.csv,
 wilcoxon.csv, suite.json, features.csv, the set and contents of curves/*
-and the stdout files.  The stores (*.jsonl) are compared record by record
-with the `timestamp` field dropped.  Prints one line per differing file and
-exits 1 if any differs, 0 if none does, and 2 if a command fails.
+and the stdout files.  The stores (*.jsonl) are compared record by record,
+field order included, with the `timestamp` field dropped.  Prints one line
+per differing file and exits 1 if any differs, 0 if none does, and 2 if a
+command fails.
 
     git archive <rev> src | tar -x -C /tmp/base
     python scripts/same_bytes.py /tmp/base/src --scale tiny
@@ -110,12 +111,14 @@ def run_side(src: Path, workdir: Path, steps: list) -> None:
 
 
 def _records(path: Path) -> list:
+    """Each record as its (field, value) pairs in written order, the
+    timestamp dropped."""
     out = []
     for line in path.read_text(encoding="utf-8").splitlines():
         if line.strip():
             record = json.loads(line)
             record.pop("timestamp", None)
-            out.append(record)
+            out.append(list(record.items()))
     return out
 
 

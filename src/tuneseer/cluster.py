@@ -5,19 +5,21 @@ clustering by default, since raw dimension counts span 2-50 while skew spans
 roughly +-2; without scaling, Euclidean distance degenerates to dimension
 binning.  Scaling can be disabled to test the unscaled reading.
 
-Fitting runs several k-means++ seedings and keeps the lowest-inertia model.
-Lloyd iterations stop when the largest centroid displacement drops below a
-tolerance.  An empty cluster is re-seeded to the point farthest from its
+Fitting runs several k-means++ seedings and keeps the first lowest-inertia
+model.  Lloyd stops once no centroid moves by ``TOL`` or after ``MAX_ITER``
+updates.  An empty cluster is re-seeded to the point farthest from its
 assigned centroid among the points whose cluster has another member, so a
 re-seed never empties a cluster in turn and the inertia sequence stays
 finite and non-increasing, also when there are fewer distinct points than
 clusters.
 
-All squared distances -- Lloyd assignments, the k-means++ seeding update and
-classification -- come from one kernel, ``_pairwise_sq``.  It accumulates the
-(n, k) distance matrix column by column, ``d2 += diff * diff`` for feature 0,
-1, ..., d - 1, so no (n, k, d) temporary is built.  For fewer than 8 features
-numpy's sum over the last axis of the broadcast form
+Every nearest-centroid answer -- each Lloyd pass and classification -- comes
+from ``_assign``, ties to the lowest centroid index, and all squared
+distances, the k-means++ seeding update too, from one kernel,
+``_pairwise_sq``.  It accumulates the (n, k) distance matrix column by
+column, ``d2 += diff * diff`` for feature 0, 1, ..., d - 1, so no (n, k, d)
+temporary is built.  For fewer than 8 features numpy's sum over the last
+axis of the broadcast form
 ``((p[:, None] - c[None]) ** 2).sum(axis=2)`` is a plain left-to-right sum,
 so the two give the same floats bit for bit.  The centroid update sums each
 column with ``np.bincount`` in row order and divides by the member counts;
@@ -44,8 +46,8 @@ from .sampling import make_rng
 log = logging.getLogger(__name__)
 
 DEFAULT_RESTARTS = 10
-DEFAULT_MAX_ITER = 300
-DEFAULT_TOL = 1e-9
+MAX_ITER = 300
+TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -83,11 +85,11 @@ class ClusterModel:
         """Index of the nearest centroid in scaled space; ties break to the
         lowest index."""
         z = self.scaler.transform(np.atleast_2d(np.asarray(point, dtype=float)))
-        return int(np.argmin(_pairwise_sq(z, self.centroids)[0]))
+        return int(_assign(z, self.centroids)[0][0])
 
     def classify_all(self, points: np.ndarray) -> np.ndarray:
         z = self.scaler.transform(np.asarray(points, dtype=float))
-        return np.argmin(_pairwise_sq(z, self.centroids), axis=1)
+        return _assign(z, self.centroids)[0]
 
     def to_json(self) -> str:
         return json.dumps(
@@ -127,6 +129,14 @@ def _pairwise_sq(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return d2
 
 
+def _assign(points: np.ndarray, centroids: np.ndarray):
+    """(labels, squared distance to the label's centroid) per point; a tie
+    goes to the lowest centroid index."""
+    d2 = _pairwise_sq(points, centroids)
+    labels = np.argmin(d2, axis=1)
+    return labels, d2[np.arange(len(labels)), labels]
+
+
 def kmeanspp_seed(
     points: np.ndarray, k: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -150,12 +160,7 @@ def kmeanspp_seed(
     return points[chosen].copy()
 
 
-def lloyd(
-    points: np.ndarray,
-    centroids: np.ndarray,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
-):
+def lloyd(points: np.ndarray, centroids: np.ndarray):
     """Alternate assignment and centroid updates.
 
     Returns (centroids, labels, inertia, inertia_history); the history has
@@ -167,12 +172,12 @@ def lloyd(
     if not 1 <= k <= n:
         raise ContractError(f"need 1 to {n} initial centroids, got {k}")
     centroids = centroids.copy()
-    rows = np.arange(n)
     history = []
-    for _ in range(max_iter):
-        d2 = _pairwise_sq(points, centroids)
-        labels = np.argmin(d2, axis=1)
-        point_d2 = d2[rows, labels]
+    shift = np.inf
+    for updates_left in range(MAX_ITER, -1, -1):
+        labels, point_d2 = _assign(points, centroids)
+        if shift < TOL or updates_left == 0:
+            break
         counts = np.bincount(labels, minlength=k)
         for c in np.flatnonzero(counts == 0):
             # the farthest point that does not leave its cluster empty
@@ -189,11 +194,7 @@ def lloyd(
         new_centroids = sums / counts[:, None]
         shift = float(np.max(np.abs(new_centroids - centroids)))
         centroids = new_centroids
-        if shift < tol:
-            break
-    d2 = _pairwise_sq(points, centroids)
-    labels = np.argmin(d2, axis=1)
-    inertia = float(d2[rows, labels].sum())
+    inertia = float(point_d2.sum())
     history.append(inertia)
     return centroids, labels, inertia, history
 
@@ -204,8 +205,6 @@ def fit(
     seed: int = 0,
     scale: bool = True,
     restarts: int = DEFAULT_RESTARTS,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
 ) -> ClusterModel:
     """Best-of-restarts k-means++ fit on (n, d) feature rows.
 
@@ -225,10 +224,7 @@ def fit(
     )
     z = scaler.transform(points)
     rng = make_rng(seed)
-    best = None
-    for _ in range(restarts):
-        init = kmeanspp_seed(z, k, rng)
-        centroids, _, inertia, _ = lloyd(z, init, max_iter=max_iter, tol=tol)
-        if best is None or inertia < best[1]:
-            best = (centroids, inertia)
-    return ClusterModel(k=k, centroids=best[0], scaler=scaler, inertia=best[1])
+    # min keeps the first restart of least inertia
+    restarts_run = (lloyd(z, kmeanspp_seed(z, k, rng)) for _ in range(restarts))
+    centroids, _, inertia, _ = min(restarts_run, key=lambda run: run[2])
+    return ClusterModel(k=k, centroids=centroids, scaler=scaler, inertia=inertia)

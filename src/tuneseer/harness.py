@@ -432,11 +432,13 @@ class ComparisonReport:
 
 
 def compute_wilcoxon_rows(alpha_rows: list) -> list:
-    """Pairwise signed-rank tests over rows sharing identical test keys."""
+    """Pairwise signed-rank tests for every pair of methods in ``alpha_rows``,
+    each over the test keys ok for both."""
     by_method: dict[str, dict] = {}
     for row in alpha_rows:
+        ok_alpha = by_method.setdefault(row["method"], {})
         if row["status"] == "ok":
-            by_method.setdefault(row["method"], {})[_key(row)] = row["alpha"]
+            ok_alpha[_key(row)] = row["alpha"]
     present = [m for m in METHOD_ORDER if m in by_method]
     out = []
     for i, method_a in enumerate(present):

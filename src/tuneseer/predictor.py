@@ -217,12 +217,9 @@ def recommendation_table(
     features = store.features_array()
     model = fit_model(features, kappa, seed=seed, scale=scale)
     labels = model.classify_all(features)
-    # one stable sort groups the records by cluster, each in store order
-    order = np.argsort(labels, kind="stable")
-    groups = np.split(order, np.cumsum(np.bincount(labels, minlength=model.k))[:-1])
     table = {}
-    for c, group in enumerate(groups):
-        members = [store.records[i] for i in group]
+    for c in range(model.k):
+        members = [store.records[i] for i in np.flatnonzero(labels == c)]
         if not members:
             # a centroid can end up without members after a refit; fall
             # back to the whole store rather than failing the run

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tuneseer import cluster
 from tuneseer.cluster import (
-    DEFAULT_MAX_ITER,
+    MAX_ITER,
     ClusterModel,
     FeatureScaler,
     fit,
@@ -261,7 +262,7 @@ def test_lloyd_converges_on_duplicated_points(seed, distinct, n, k, d, spread_in
     assert np.all(np.isfinite(centroids))
     assert np.all(np.isfinite(history))
     assert all(b <= a * (1 + 1e-12) for a, b in zip(history, history[1:]))
-    assert len(history) - 1 < DEFAULT_MAX_ITER
+    assert len(history) - 1 < MAX_ITER
 
 
 def test_lloyd_rejects_more_centroids_than_points():
@@ -419,3 +420,16 @@ def test_small_random_sets_match_broadcast_reference():
         assert np.array_equal(
             model.classify_all(pts), _reference_classify_all(centroids, scaler, pts)
         )
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2, 3])
+def test_lloyd_stops_at_iteration_cap_like_reference(monkeypatch, cap):
+    # the cap exit: no run below converges in 3 updates, so each stops there
+    monkeypatch.setattr(cluster, "MAX_ITER", cap)
+    rng = np.random.default_rng(cap)
+    for seed in range(5):
+        pts = rng.normal(size=(200, 3))
+        init = kmeanspp_seed(pts, 6, make_rng(seed))
+        got = lloyd(pts, init)
+        _assert_lloyd_equal(got, _reference_lloyd(pts, init, max_iter=cap))
+        assert len(got[3]) == cap + 1

@@ -583,6 +583,20 @@ def test_report_accepts_failed_rows_without_alpha(tmp_path):
     assert pair["n"] == 2
 
 
+def test_report_keeps_the_pair_of_a_method_whose_every_run_failed(tmp_path, capsys):
+    rows = [list(r) for r in _GOOD_ALPHA_ROWS]
+    for row in rows:
+        if row[4] == "literature":
+            row[5:] = ["", "", "", "", "", "", "failed: boom"]
+    _write_alpha_csv(tmp_path / "alpha.csv", harness.ALPHA_COLUMNS, rows)
+    (pair,) = cmd_report(str(tmp_path))
+    assert pair == {"method_a": "predictive", "method_b": "literature", "n": 0, "W": None, "p": None}
+    assert read_rows(tmp_path / "wilcoxon.csv") == [
+        {"method_a": "predictive", "method_b": "literature", "n": "0", "W": "", "p": ""}
+    ]
+    assert "wilcoxon predictive vs literature: n=0 W=None p=None" in capsys.readouterr().out
+
+
 def test_cli_exit_codes(trained, tmp_path):
     out, _, _ = trained
     assert cli.main(["report", "--out", str(out / "cmp")]) == 0
