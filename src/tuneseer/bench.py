@@ -1,10 +1,10 @@
 """Deterministic, instanced suite of continuous black-box benchmark functions.
 
-Two disjoint presets are provided: a training suite of ten functions spanning
-separable unimodal, high-conditioning, strongly and weakly structured
-multimodal, plateau, and asymmetric-valley landscapes, and a held-out suite of
-six further functions for out-of-sample testing.  Every function shares the
-box [-5, 5]^D and is defined for any dimension D >= 2.
+Two disjoint presets map function ids to base functions: a training suite of
+ten functions spanning separable unimodal, high-conditioning, strongly and
+weakly structured multimodal, plateau, and asymmetric-valley landscapes, and a
+held-out suite of six further functions for out-of-sample testing.  Every
+function shares the box [-5, 5]^D and is defined for any dimension D >= 2.
 
 An instance fixes (function id, dimension, instance seed) and applies an
 optimum shift plus an orthogonal rotation:
@@ -13,13 +13,14 @@ optimum shift plus an orthogonal rotation:
 
 Instance seed 0 is the identity transform.  Identical (function id, D, seed)
 triples reproduce bit-identical transforms.  Base formulas are documented on
-each function below; all have known optimum value 0.
+each function below; all have known optimum value 0.  ``REGISTRY`` is the
+two presets together.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -205,14 +206,6 @@ def _weierstrass(z: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class BenchFunction:
-    name: str
-    fn: Callable[[np.ndarray], np.ndarray]
-    # optimum location of the *base* function (pre-instancing) at dimension D
-    optimum_fn: Callable[[int], np.ndarray] = np.zeros
-
-
 def _with_floor(fn: Callable[[np.ndarray], np.ndarray]):
     def floored(z: np.ndarray) -> np.ndarray:
         return fn(z) + HOLDOUT_VALUE_OFFSET
@@ -221,44 +214,38 @@ def _with_floor(fn: Callable[[np.ndarray], np.ndarray]):
 
 
 # Training preset: ten functions spanning the landscape groups.
-TRAINING_PRESET = (
-    BenchFunction("sphere", _sphere),
-    BenchFunction("ellipsoid", _ellipsoid),
-    BenchFunction("rotated_ellipsoid", _rotated("rotated_ellipsoid", _ellipsoid)),
-    BenchFunction("sharp_ridge", _sharp_ridge),
-    BenchFunction("rastrigin", _rastrigin),
-    BenchFunction("griewank", _griewank),
-    BenchFunction("ackley", _ackley),
-    BenchFunction("schwefel", _schwefel),
-    BenchFunction("step", _step),
-    BenchFunction("rosenbrock", _rosenbrock, np.ones),
-)
+TRAINING_PRESET: dict[str, Callable[[np.ndarray], np.ndarray]] = {
+    "sphere": _sphere,
+    "ellipsoid": _ellipsoid,
+    "rotated_ellipsoid": _rotated("rotated_ellipsoid", _ellipsoid),
+    "sharp_ridge": _sharp_ridge,
+    "rastrigin": _rastrigin,
+    "griewank": _griewank,
+    "ackley": _ackley,
+    "schwefel": _schwefel,
+    "step": _step,
+    "rosenbrock": _rosenbrock,
+}
 
 # Held-out preset: conditioning and rotation variants of the training
 # families plus a multimodal entry, in the spirit of testing on a second
 # suite built from the same function classes.  Every entry carries the
 # positivity floor.
-HOLDOUT_PRESET = tuple(
-    BenchFunction(f.name, _with_floor(f.fn), f.optimum_fn)
-    for f in (
-        BenchFunction("discus_steep", _discus_steep),
-        BenchFunction("tablet", _tablet),
-        BenchFunction("ridge_rotated", _rotated("ridge_rotated", _sharp_ridge)),
-        BenchFunction(
-            "rosenbrock_rotated",
-            _rotated("rosenbrock_rotated", _rosenbrock),
-            lambda d: _intrinsic_rotation("rosenbrock_rotated", d).T @ np.ones(d),
-        ),
-        BenchFunction("different_powers", _different_powers),
-        BenchFunction("weierstrass", _weierstrass),
-    )
-)
+HOLDOUT_PRESET: dict[str, Callable[[np.ndarray], np.ndarray]] = {
+    name: _with_floor(fn)
+    for name, fn in {
+        "discus_steep": _discus_steep,
+        "tablet": _tablet,
+        "ridge_rotated": _rotated("ridge_rotated", _sharp_ridge),
+        "rosenbrock_rotated": _rotated("rosenbrock_rotated", _rosenbrock),
+        "different_powers": _different_powers,
+        "weierstrass": _weierstrass,
+    }.items()
+}
 
-REGISTRY: dict[str, BenchFunction] = {f.name: f for f in TRAINING_PRESET + HOLDOUT_PRESET}
-TRAINING_FUNCTIONS = tuple(f.name for f in TRAINING_PRESET)
-HOLDOUT_FUNCTIONS = tuple(f.name for f in HOLDOUT_PRESET)
-
-PRESET_DIMENSIONS = (2, 10, 20, 30, 40, 50)
+REGISTRY = {**TRAINING_PRESET, **HOLDOUT_PRESET}
+TRAINING_FUNCTIONS = tuple(TRAINING_PRESET)
+HOLDOUT_FUNCTIONS = tuple(HOLDOUT_PRESET)
 
 
 @dataclass(frozen=True)
@@ -300,10 +287,6 @@ class ObjectiveInstance:
     shift: np.ndarray
     rotation: np.ndarray
     eval_counter: int = 0
-    _base: BenchFunction = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._base = REGISTRY[self.spec.function_id]
 
     @property
     def dimension(self) -> int:
@@ -312,14 +295,6 @@ class ObjectiveInstance:
     @property
     def domain(self) -> SearchDomain:
         return self.spec.domain
-
-    @property
-    def optimum_location(self) -> np.ndarray:
-        """Point where the base optimum value is attained (may fall outside
-        the box for rotated instances of functions whose base optimum is not
-        at the origin)."""
-        base_opt = self._base.optimum_fn(self.dimension)
-        return self.shift + self.rotation.T @ base_opt
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
         """Evaluate an (n, D) batch; charges n evaluations to the counter."""
@@ -330,7 +305,7 @@ class ObjectiveInstance:
             )
         self.eval_counter += points.shape[0]
         z = (points - self.shift) @ self.rotation.T
-        return self._base.fn(z)
+        return REGISTRY[self.spec.function_id](z)
 
 
 def make_instance(spec: ObjectiveSpec, instance_seed: int) -> ObjectiveInstance:
@@ -353,12 +328,12 @@ def make_instance(spec: ObjectiveSpec, instance_seed: int) -> ObjectiveInstance:
     )
 
 
-def training_suite(dims=PRESET_DIMENSIONS) -> list[ObjectiveSpec]:
+def training_suite(dims) -> list[ObjectiveSpec]:
     """Every training function at every dimension of ``dims``."""
     return [ObjectiveSpec(f, d) for f in TRAINING_FUNCTIONS for d in dims]
 
 
-def holdout_suite(dims=PRESET_DIMENSIONS) -> list[ObjectiveSpec]:
+def holdout_suite(dims) -> list[ObjectiveSpec]:
     """Every held-out function at every dimension of ``dims``."""
     return [ObjectiveSpec(f, d) for f in HOLDOUT_FUNCTIONS for d in dims]
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError
-from .sampling import make_rng
+from .sampling import substream
 
 log = logging.getLogger(__name__)
 
@@ -223,7 +223,7 @@ def fit(
         points.shape[1]
     )
     z = scaler.transform(points)
-    rng = make_rng(seed)
+    rng = substream(seed)
     # min keeps the first restart of least inertia
     restarts_run = (lloyd(z, kmeanspp_seed(z, k, rng)) for _ in range(restarts))
     centroids, _, inertia, _ = min(restarts_run, key=lambda run: run[2])

@@ -650,7 +650,8 @@ def read_alpha_csv(path: str) -> list:
     other than ``ALPHA_COLUMNS`` or a cell past it, a cell not as ``_fmt``
     writes its value or not finite, an unknown method or status, an ok row
     with an empty cell (but shade's triple) or an invalid triple, a failed
-    row with more than its key, method and status, or a repeated key."""
+    row with more than its key, method and status, a key naming no registry
+    function, a D below 2 or an instance seed below 1, or a repeated key."""
     rows = []
     seen = set()
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -697,11 +698,13 @@ def read_alpha_csv(path: str) -> list:
                 if (row[column] is None) != (column in empty):
                     state = "empty" if column in empty else "filled"
                     raise ContractError(f"{where}: {column} must be {state} in {which}")
-            if not empty:  # an ok row with a fixed or chosen triple
-                try:
+            try:  # a key compare can run: a registry function at D >= 2
+                ObjectiveSpec(row["function_id"], row["dim"])
+                _require_at_least("instance_seed", row["instance_seed"], 1)
+                if not empty:  # an ok row with a fixed or chosen triple
                     ControlParams(row["p1"], row["p2"], row["p3"]).validate()
-                except ContractError as exc:
-                    raise ContractError(f"{where}: {exc}") from exc
+            except ContractError as exc:
+                raise ContractError(f"{where}: {exc}") from exc
             key = (*_key(row), method)
             if key in seen:
                 raise ContractError(f"{where}: repeated test key and method {key}")

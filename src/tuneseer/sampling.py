@@ -4,7 +4,8 @@ All randomness in the package flows through numpy's PCG64 generator.  Streams
 are derived from an integer seed plus string labels, so independent parts of
 a campaign (feature sampling, optimizer, instancing) never share a stream.
 Stream derivation is stable across processes and interpreter restarts: labels
-are hashed with SHA-256, never with Python's randomized ``hash``.
+are hashed with SHA-256, never with Python's randomized ``hash``.  Every
+generator comes from ``substream``; ``substream(seed)`` is the stream of seed.
 """
 
 from __future__ import annotations
@@ -65,11 +66,6 @@ def derive_seed(*labels) -> int:
     text = "\x1f".join(str(lab) for lab in labels)
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little") >> 1
-
-
-def make_rng(seed: int) -> np.random.Generator:
-    """Fresh PCG64 generator for the given seed."""
-    return np.random.default_rng(np.random.SeedSequence(int(seed)))
 
 
 def substream(seed: int, *labels) -> np.random.Generator:

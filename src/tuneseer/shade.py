@@ -15,9 +15,9 @@ memory slot, weighted by their objective improvements Delta_k:
 
 and the write index advances cyclically.  Generations without a strict
 improvement leave the memory and index untouched.  Memory slots start at 0.5;
-population size and history length are both 100.  The terminal-CR rule of
-some later history-based variants is intentionally not applied; CR is always
-plain-clipped.
+population size and history length (``POP_SIZE``, ``MEMORY_SIZE``) are both
+100.  The terminal-CR rule of some later history-based variants is
+intentionally not applied; CR is always plain-clipped.
 """
 
 from __future__ import annotations
@@ -48,9 +48,6 @@ class ShadeMemory:
     @property
     def size(self) -> int:
         return self.m_cr.size
-
-    def snapshot(self) -> "ShadeMemory":
-        return ShadeMemory(self.m_cr.copy(), self.m_f.copy(), self.write_index)
 
     def update(self, s_cr: np.ndarray, s_f: np.ndarray, deltas: np.ndarray) -> None:
         """Fold one generation's successful pairs into the current slot."""
@@ -84,11 +81,10 @@ def optimize_shade(
     instance,
     budget: int,
     seed: int,
-    pop_size: int = POP_SIZE,
     observer: Optional[Callable[[GenerationStats, ShadeMemory], None]] = None,
 ) -> RunTrace:
-    """Adaptive run of at most ``budget`` evaluations from stream ``seed``;
-    trace contract identical to the fixed-parameter engine.
+    """Adaptive run of ``POP_SIZE`` individuals and at most ``budget``
+    evaluations from stream ``seed``; trace contract as the fixed engine's.
 
     ``observer`` sees each generation's selection stats and the memory
     state after any update.
@@ -97,7 +93,7 @@ def optimize_shade(
     memory = ShadeMemory()
 
     def sampler(r: np.random.Generator):
-        return sample_memory_params(memory, pop_size, r)
+        return sample_memory_params(memory, POP_SIZE, r)
 
     def on_generation(stats: GenerationStats) -> None:
         sel = stats.successes
@@ -106,4 +102,4 @@ def optimize_shade(
         if observer is not None:
             observer(stats, memory)
 
-    return evolve(instance, pop_size, budget, rng, sampler, on_generation)
+    return evolve(instance, POP_SIZE, budget, rng, sampler, on_generation)

@@ -5,6 +5,7 @@ them); the end-to-end campaign criteria run the real CLI-level pipeline into
 temporary directories.
 """
 
+import copy
 import itertools
 import math
 import os
@@ -27,7 +28,7 @@ from tuneseer.predictor import (
     run_predictive,
     top_set_size,
 )
-from tuneseer.sampling import ControlParams, latin_hypercube, make_rng
+from tuneseer.sampling import ControlParams, latin_hypercube, substream
 from tuneseer.shade import ShadeMemory, optimize_shade
 
 
@@ -99,7 +100,7 @@ def test_criterion_3_lhs_stratification():
 
     for n, d in [(4, 1), (100, 3), (1000, 50)]:
         box = Box(d)
-        points = latin_hypercube(n, box.lower, box.upper, make_rng(n + d))
+        points = latin_hypercube(n, box.lower, box.upper, substream(n + d))
         unit = (points + 5.0) / 10.0
         strata = np.clip(np.floor(unit * n).astype(int), 0, n - 1)
         for j in range(d):
@@ -176,7 +177,7 @@ def test_criterion_5_shade_memory():
         Plateau(),
         3000,
         4,
-        observer=lambda st, m: log.append((bool(st.successes.any()), m.snapshot())),
+        observer=lambda st, m: log.append((bool(st.successes.any()), copy.deepcopy(m))),
     )
     stalled = sum(1 for ok_, _ in log if not ok_)
     assert stalled >= 1
@@ -225,7 +226,7 @@ def test_criterion_6_kmeans_oracle():
             )
             best = min(best, ss)
         assert model.inertia <= best * (1 + 1e-9) + 1e-12
-        init = cluster.kmeanspp_seed(pts, k, make_rng(int(rng.integers(1e6))))
+        init = cluster.kmeanspp_seed(pts, k, substream(int(rng.integers(1e6))))
         _, _, _, history = cluster.lloyd(pts, init)
         assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
     ok(6, "best-of-25 restarts matches exhaustive optimum on 50 trials; Lloyd monotone")

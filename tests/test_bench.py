@@ -92,18 +92,30 @@ def test_instancing_invariance(fid):
     base = REGISTRY[fid]
     rng = np.random.default_rng(0)
     y = rng.uniform(-5.0, 5.0, size=(100, d))
-    expected = base.fn(y)
+    expected = base(y)
     got = inst.evaluate_batch(y @ inst.rotation + inst.shift)
     rel = np.abs(got - expected) / np.maximum(1.0, np.abs(expected))
     assert rel.max() < 1e-9
 
 
+def _base_optimum(fid, d):
+    """Where the base function of ``fid`` attains its optimum value 0."""
+    if fid == "rosenbrock":
+        return np.ones(d)
+    if fid == "rosenbrock_rotated":
+        return bench._intrinsic_rotation("rosenbrock_rotated", d).T @ np.ones(d)
+    return np.zeros(d)
+
+
 @pytest.mark.parametrize("fid", sorted(REGISTRY))
 def test_optimum_value_attained(fid):
     # base optimum value 0 is attained at the instance's optimum location
+    # (which may fall outside the box for rotated instances of functions
+    # whose base optimum is not at the origin)
     for seed in (0, 3):
         inst = make_instance(ObjectiveSpec(fid, 5), seed)
-        assert abs(inst.evaluate_batch(inst.optimum_location[None])[0]) < 1e-9
+        location = inst.shift + inst.rotation.T @ _base_optimum(fid, 5)
+        assert abs(inst.evaluate_batch(location[None])[0]) < 1e-9
 
 
 @pytest.mark.parametrize("fid", sorted(REGISTRY))
@@ -124,7 +136,7 @@ def test_base_nonnegative_on_rotation_reach(fid):
     # base values over that reach must not undercut the optimum value
     rng = np.random.default_rng(2)
     z = rng.uniform(-40.0, 40.0, size=(2000, 20))
-    vals = REGISTRY[fid].fn(z)
+    vals = REGISTRY[fid](z)
     assert np.all(vals >= -1e-9)
 
 
@@ -137,8 +149,8 @@ def test_eval_counter_exactness():
 
 
 def test_suites_disjoint_and_sized():
-    train = {s.function_id for s in training_suite()}
-    hold = {s.function_id for s in holdout_suite()}
+    train = {s.function_id for s in training_suite(dims=(2,))}
+    hold = {s.function_id for s in holdout_suite(dims=(2,))}
     assert train == set(TRAINING_FUNCTIONS)
     assert hold == set(HOLDOUT_FUNCTIONS)
     assert not train & hold
@@ -177,8 +189,8 @@ def test_rotated_ellipsoid_differs_from_separable():
     # the intrinsic rotation must make the two ellipsoids distinct even on
     # identity instances
     z = np.array([[1.0, 2.0, 3.0, -1.0]])
-    sep = REGISTRY["ellipsoid"].fn(z)
-    rot = REGISTRY["rotated_ellipsoid"].fn(z)
+    sep = REGISTRY["ellipsoid"](z)
+    rot = REGISTRY["rotated_ellipsoid"](z)
     assert abs(sep[0] - rot[0]) > 1.0
 
 

@@ -17,7 +17,7 @@ from tuneseer.cluster import (
     lloyd,
 )
 from tuneseer.errors import ContractError
-from tuneseer.sampling import make_rng
+from tuneseer.sampling import substream
 
 
 def partitions_up_to(n, max_parts):
@@ -112,7 +112,7 @@ def test_lloyd_fixed_point_on_optimal_centroids():
 def test_lloyd_inertia_monotone():
     rng = np.random.default_rng(7)
     pts = rng.normal(size=(40, 3))
-    init = kmeanspp_seed(pts, 4, make_rng(0))
+    init = kmeanspp_seed(pts, 4, substream(0))
     _, _, _, history = lloyd(pts, init)
     assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
 
@@ -190,8 +190,8 @@ def test_permutation_invariance_on_separated_data():
 def test_kmeanspp_rejects_large_k():
     pts = two_triads()
     with pytest.raises(ContractError):
-        kmeanspp_seed(pts, len(pts) + 1, make_rng(0))
-    assert kmeanspp_seed(pts, len(pts), make_rng(0)).shape[0] == len(pts)
+        kmeanspp_seed(pts, len(pts) + 1, substream(0))
+    assert kmeanspp_seed(pts, len(pts), substream(0)).shape[0] == len(pts)
 
 
 def test_kmeanspp_clamps_large_k():
@@ -255,7 +255,7 @@ def test_lloyd_converges_on_duplicated_points(seed, distinct, n, k, d, spread_in
     pts = rows[rng.integers(0, distinct, size=n)]
     k = min(k, n)
     if spread_init:
-        init = kmeanspp_seed(pts, k, make_rng(seed))
+        init = kmeanspp_seed(pts, k, substream(seed))
     else:  # arbitrary rows, repeats allowed: many empty clusters at once
         init = pts[rng.integers(0, n, size=k)]
     centroids, _, _, history = lloyd(pts, init)
@@ -336,7 +336,7 @@ def _reference_lloyd(points, centroids, max_iter=300, tol=1e-9):
 def _reference_fit(points, k, seed=0, restarts=10):
     scaler = FeatureScaler.fit(points)
     z = scaler.transform(points)
-    rng = make_rng(seed)
+    rng = substream(seed)
     best = None
     for _ in range(restarts):
         init = _reference_kmeanspp_seed(z, min(k, len(points)), rng)
@@ -391,8 +391,8 @@ def test_seed_and_lloyd_match_broadcast_reference(n):
     pts = _feature_like(n, seed=7 * n)
     z = FeatureScaler.fit(pts).transform(pts)
     for seed in range(3):
-        init = kmeanspp_seed(z, 10, make_rng(seed))
-        assert np.array_equal(init, _reference_kmeanspp_seed(z, 10, make_rng(seed)))
+        init = kmeanspp_seed(z, 10, substream(seed))
+        assert np.array_equal(init, _reference_kmeanspp_seed(z, 10, substream(seed)))
         _assert_lloyd_equal(lloyd(z, init), _reference_lloyd(z, init))
 
 
@@ -410,8 +410,8 @@ def test_small_random_sets_match_broadcast_reference():
         distinct = len(np.unique(pts, axis=0))
         k = distinct if case % 5 == 0 else int(rng.integers(1, distinct + 1))
         seed = int(rng.integers(0, 1_000_000))
-        init = kmeanspp_seed(pts, k, make_rng(seed))
-        assert np.array_equal(init, _reference_kmeanspp_seed(pts, k, make_rng(seed)))
+        init = kmeanspp_seed(pts, k, substream(seed))
+        assert np.array_equal(init, _reference_kmeanspp_seed(pts, k, substream(seed)))
         _assert_lloyd_equal(lloyd(pts, init), _reference_lloyd(pts, init))
         model = fit(pts, k, seed=seed, restarts=3)
         centroids, scaler, inertia = _reference_fit(pts, k, seed=seed, restarts=3)
@@ -429,7 +429,7 @@ def test_lloyd_stops_at_iteration_cap_like_reference(monkeypatch, cap):
     rng = np.random.default_rng(cap)
     for seed in range(5):
         pts = rng.normal(size=(200, 3))
-        init = kmeanspp_seed(pts, 6, make_rng(seed))
+        init = kmeanspp_seed(pts, 6, substream(seed))
         got = lloyd(pts, init)
         _assert_lloyd_equal(got, _reference_lloyd(pts, init, max_iter=cap))
         assert len(got[3]) == cap + 1

@@ -300,10 +300,10 @@ def test_shade_kernel_matches_list_archive_reference(monkeypatch, pop_size, dim)
     spec = ObjectiveSpec("ackley", dim)
     budget, seed = pop_size * 30, 2000 + pop_size + dim
 
+    monkeypatch.setattr(shade, "POP_SIZE", pop_size)
+
     def run_shade():
-        return shade.optimize_shade(
-            make_instance(spec, 4), budget, seed, pop_size=pop_size
-        )
+        return shade.optimize_shade(make_instance(spec, 4), budget, seed)
 
     got = run_shade()
     want, evictions = _reference_run(monkeypatch, shade, run_shade)

@@ -81,18 +81,26 @@ def test_train_outputs(trained):
     assert {row["dimension"] for row in listing} == {2}
 
 
-def test_compare_outputs_and_pairing(trained):
-    out, config, _ = trained
-    compare_out = str(out / "cmp")
-    report = cmd_compare(
+@pytest.fixture(scope="module")
+def compared(trained):
+    """The held-out comparison of the trained store, run once: its outputs
+    under ``<trained>/cmp``."""
+    out, _, _ = trained
+    compare_out = out / "cmp"
+    cmd_compare(
         train_config(
             out,
             suite="holdout",
-            out=compare_out,
+            out=str(compare_out),
             store_path=str(out / "store.jsonl"),
             methods=("predictive", "literature"),
         )
     )
+    return compare_out
+
+
+def test_compare_outputs_and_pairing(compared):
+    compare_out = str(compared)
     rows = read_rows(os.path.join(compare_out, "alpha.csv"))
     # 6 holdout functions x 1 dim x 1 instance x 2 seeds x 2 methods
     assert len(rows) == 24
@@ -119,7 +127,7 @@ def test_compare_outputs_and_pairing(trained):
     assert best == sorted(best, reverse=True)  # improvement-only rows
 
     # per-run retrain grows the store and persists it
-    grown = out / "cmp" / "store_after_compare.jsonl"
+    grown = compared / "store_after_compare.jsonl"
     assert grown.exists() if hasattr(grown, "exists") else os.path.exists(grown)
     assert len(open(grown).readlines()) == 20 + 12
 
@@ -474,9 +482,8 @@ def test_features_keeps_its_sigma_list(trained, tmp_path):
     assert {r["sigma"] for r in read_rows(out / "features.csv")} == {"20", "50"}
 
 
-def test_cmd_report_rederives_wilcoxon(trained):
-    out, _, _ = trained
-    cmp_dir = str(out / "cmp")
+def test_cmd_report_rederives_wilcoxon(compared):
+    cmp_dir = str(compared)
     before = read_rows(os.path.join(cmp_dir, "wilcoxon.csv"))
     rows = cmd_report(cmp_dir)
     after = read_rows(os.path.join(cmp_dir, "wilcoxon.csv"))
@@ -542,6 +549,11 @@ _PAST_LAST = "past the last column"
         (3, "method", "shade", "p1 must be empty in an ok shade row"),
         # a failed row is its key, method and status alone
         (4, "status", "failed: boom", "p1 must be empty in a failed predictive row"),
+        # a key compare can run: a registry function, D >= 2, instance seed >= 1
+        (3, "function_id", "", "unknown function id ''"),
+        (5, "function_id", "nope", "unknown function id 'nope'"),
+        (3, "dim", "0", "dimension must be >= 2, got 0"),
+        (5, "instance_seed", "-4", "instance_seed must be >= 1, got -4"),
     ],
 )
 def test_report_names_line_of_malformed_alpha_csv(
@@ -597,9 +609,8 @@ def test_report_keeps_the_pair_of_a_method_whose_every_run_failed(tmp_path, caps
     assert "wilcoxon predictive vs literature: n=0 W=None p=None" in capsys.readouterr().out
 
 
-def test_cli_exit_codes(trained, tmp_path):
-    out, _, _ = trained
-    assert cli.main(["report", "--out", str(out / "cmp")]) == 0
+def test_cli_exit_codes(compared, tmp_path):
+    assert cli.main(["report", "--out", str(compared)]) == 0
     assert cli.main(["report", "--out", str(tmp_path / "nowhere")]) == 2
     assert (
         cli.main(

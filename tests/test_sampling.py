@@ -12,7 +12,6 @@ from tuneseer.sampling import (
     derive_seed,
     latin_hypercube,
     lhs_params,
-    make_rng,
     substream,
 )
 
@@ -33,14 +32,14 @@ def stratum_counts(points, lower, upper, n):
 
 
 def test_single_point_lies_in_box():
-    points = latin_hypercube(1, [-2.0, 0.0], [4.0, 1.0], make_rng(0))
+    points = latin_hypercube(1, [-2.0, 0.0], [4.0, 1.0], substream(0))
     assert points.shape == (1, 2)
     assert np.all(points >= [-2.0, 0.0])
     assert np.all(points <= [4.0, 1.0])
 
 
 def test_quartile_stratification_n4_d1():
-    points = latin_hypercube(4, [0.0], [1.0], make_rng(3))
+    points = latin_hypercube(4, [0.0], [1.0], substream(3))
     counts = stratum_counts(points, 0.0, 1.0, 4)
     assert np.all(counts == 1)
 
@@ -48,28 +47,28 @@ def test_quartile_stratification_n4_d1():
 @pytest.mark.parametrize("n,d", [(4, 1), (100, 3), (1000, 50)])
 def test_stratification_exact(n, d):
     box = Box(np.full(d, -5.0), np.full(d, 5.0))
-    points = latin_hypercube(n, box.lower, box.upper, make_rng(17))
+    points = latin_hypercube(n, box.lower, box.upper, substream(17))
     counts = stratum_counts(points, box.lower, box.upper, n)
     assert np.all(counts == 1)
 
 
 def test_deterministic_repeat():
     box = Box(np.zeros(3), np.ones(3))
-    a = latin_hypercube(100, box.lower, box.upper, make_rng(5))
-    b = latin_hypercube(100, box.lower, box.upper, make_rng(5))
+    a = latin_hypercube(100, box.lower, box.upper, substream(5))
+    b = latin_hypercube(100, box.lower, box.upper, substream(5))
     assert np.array_equal(a, b)
 
 
 def test_zero_samples_rejected():
     with pytest.raises(ContractError):
-        latin_hypercube(0, [0.0], [1.0], make_rng(0))
+        latin_hypercube(0, [0.0], [1.0], substream(0))
 
 
 def test_marginal_uniformity():
     # empirical mean of a size-1e4 design within 3 sigma of the box midpoint
     n = 10_000
     box = Box([-5.0, 0.0], [5.0, 2.0])
-    points = latin_hypercube(n, box.lower, box.upper, make_rng(11))
+    points = latin_hypercube(n, box.lower, box.upper, substream(11))
     widths = box.upper - box.lower
     sigma = widths / np.sqrt(12.0 * n)
     mid = 0.5 * (box.lower + box.upper)
@@ -80,15 +79,15 @@ def test_marginal_uniformity():
 @given(n=st.integers(1, 200), d=st.integers(1, 6), seed=st.integers(0, 2**31))
 def test_stratification_property(n, d, seed):
     box = Box(np.full(d, -1.0), np.full(d, 3.0))
-    points = latin_hypercube(n, box.lower, box.upper, make_rng(seed))
+    points = latin_hypercube(n, box.lower, box.upper, substream(seed))
     counts = stratum_counts(points, box.lower, box.upper, n)
     assert np.all(counts == 1)
 
 
 def test_lhs_params_ranges_and_count():
-    params = lhs_params(30, make_rng(2))
+    params = lhs_params(30, substream(2))
     lower, upper = zip(*DEFAULT_PARAM_RANGES)
-    design = latin_hypercube(30, lower, upper, make_rng(2))
+    design = latin_hypercube(30, lower, upper, substream(2))
     assert len(params) == 30
     assert len(set(params)) == 30
     for p, row in zip(params, design):
@@ -100,14 +99,14 @@ def test_lhs_params_ranges_and_count():
 
 
 def test_lhs_params_single_draw_inside_ranges():
-    (p,) = lhs_params(1, make_rng(9))
+    (p,) = lhs_params(1, substream(9))
     assert 0.0 <= p.p1 <= 1.0
     assert 0.1 <= p.p2 <= 1.0
     assert 10 <= p.p3 <= 500
 
 
 def test_lhs_params_deterministic():
-    assert lhs_params(12, make_rng(4)) == lhs_params(12, make_rng(4))
+    assert lhs_params(12, substream(4)) == lhs_params(12, substream(4))
 
 
 def test_control_params_validation():

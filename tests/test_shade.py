@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -62,7 +64,7 @@ def test_zero_success_generations_freeze_memory_in_full_run():
     log = []
 
     def observer(stats, memory):
-        log.append((bool(stats.successes.any()), memory.snapshot()))
+        log.append((bool(stats.successes.any()), copy.deepcopy(memory)))
 
     optimize_shade(_PlateauObjective(), 3000, 4, observer=observer)
     assert any(not ok for ok, _ in log), "expected at least one stalled generation"
@@ -119,7 +121,7 @@ def test_frozen_memory_equals_shared_kernel_with_sampled_params():
     snaps = []
 
     def keep(stats, memory):
-        snaps.append(memory.snapshot())
+        snaps.append(copy.deepcopy(memory))
 
     a = optimize_shade(_FlatObjective(4), budget, seed, observer=keep)
 
@@ -146,7 +148,7 @@ def test_shade_equals_shared_kernel_with_memory_observer():
     final = {}
 
     def keep(stats, memory):
-        final["memory"] = memory.snapshot()
+        final["memory"] = copy.deepcopy(memory)
 
     a = optimize_shade(make_instance(spec, 5), budget, seed, observer=keep)
 
