@@ -8,5 +8,3 @@ that worked best for their cluster.  Improvements over fixed and adaptive
 baselines are checked with Wilcoxon signed-rank tests.  Import each name
 from the module that defines it.
 """
-
-__version__ = "0.1.0"

@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ContractError, UnknownFunctionError
+from .errors import ContractError
 from .sampling import substream
 
 DOMAIN_BOUND = 5.0
@@ -257,7 +257,7 @@ class ObjectiveSpec:
 
     def __post_init__(self):
         if self.function_id not in REGISTRY:
-            raise UnknownFunctionError(f"unknown function id {self.function_id!r}")
+            raise ContractError(f"unknown function id {self.function_id!r}")
         if self.dimension < 2:
             raise ContractError(f"dimension must be >= 2, got {self.dimension}")
 

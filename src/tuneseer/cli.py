@@ -11,7 +11,6 @@ one ``error: ...`` line), 2 I/O error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from functools import partial
@@ -167,7 +166,7 @@ def main(argv=None) -> int:
             harness.cmd_report(_parse("--out", args.out, _text))
         else:  # train, compare, features
             getattr(harness, f"cmd_{args.command}")(_campaign_config(args))
-    except (ContractError, json.JSONDecodeError) as exc:
+    except ContractError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

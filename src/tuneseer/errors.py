@@ -1,13 +1,6 @@
-"""Exception types shared across the package."""
+"""The package's one exception type, raised for every documented
+precondition that a call or an input file breaks."""
 
 
 class ContractError(ValueError):
     """An argument violated a documented precondition."""
-
-
-class UnknownFunctionError(ContractError):
-    """Requested benchmark function id is not in the registry."""
-
-
-class NoDataError(ContractError):
-    """An operation that needs training records was given an empty store."""

@@ -1,7 +1,8 @@
 """Campaign orchestration: training runs, method comparisons, feature
 tables, and report emission.  Every command's runs are listed and seeded
 here; ``train`` and ``compare`` send theirs through one process pool,
-``pool_map``, and ``features`` extracts its features serially.
+``pool_map``, one run per task, and ``features`` extracts its features
+serially.
 
 Outputs under the campaign directory:
 
@@ -44,7 +45,7 @@ from .bench import (
 from .errors import ContractError
 from .features import FeatureVector, extract_features
 from .metric import compute_alpha
-from .predictor import RunKey, TrainingRecord, TrainingStore, run_predictive
+from .predictor import RunKey, TrainingRecord, TrainingStore, run_predictive, utf8_lines
 from .sampling import DEFAULT_PARAM_RANGES, ControlParams, derive_seed, lhs_params, substream
 from .stats import wilcoxon
 
@@ -168,8 +169,13 @@ class CampaignConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "CampaignConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        """The defaults merged with a JSON object file; a file that is not
+        UTF-8 JSON raises ``ContractError`` naming it."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except ValueError as exc:  # json.JSONDecodeError, UnicodeDecodeError
+            raise ContractError(f"{path}: {exc}") from None
         if not isinstance(raw, dict):
             raise ContractError(f"{path}: expected a JSON object, got {raw!r}")
         return cls().merged(raw)
@@ -281,12 +287,12 @@ def _write_suite_json(out_dir: str, specs: list[ObjectiveSpec]) -> None:
         fh.write("\n")
 
 
-def pool_map(fn, items: list, workers: int, chunksize: int) -> list:
-    """``fn`` over ``items``, results in item order; a process pool serves
-    only when there is more than one worker and more than one item."""
+def pool_map(fn, items: list, workers: int) -> list:
+    """``fn`` over ``items`` in item order, one item per pool task; a process
+    pool serves only with more than one worker and more than one item."""
     if workers > 1 and len(items) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items, chunksize=chunksize))
+            return list(pool.map(fn, items))
     return [fn(item) for item in items]
 
 
@@ -338,7 +344,7 @@ def cmd_train(config: CampaignConfig) -> str:
                 for run_seed in config.train_seeds:
                     items.append(_TrainingItem(RunKey(*design, inst, run_seed), param_idx, params))
     run = partial(_run_training_item, config)
-    store = TrainingStore(pool_map(run, items, config.workers, chunksize=8))
+    store = TrainingStore(pool_map(run, items, config.workers))
     store.save(path)
     _write_suite_json(config.out, specs)
     best = store.best_record()
@@ -533,7 +539,7 @@ def cmd_compare(config: CampaignConfig) -> ComparisonReport:
     for batch in batches:
         items += [_CompareItem(METHOD_PREDICTIVE, key) for key in batch]
         run = partial(_run_compare_item, config, model, table)
-        done = pool_map(run, items, config.workers, chunksize=4)
+        done = pool_map(run, items, config.workers)
         items = []
         results.extend(done)
         records = [record for _, record, _ in done if record is not None]
@@ -646,70 +652,68 @@ def cmd_recommend(
 def read_alpha_csv(path: str) -> list:
     """The rows of an alpha.csv as ``compare`` made them, each cell of its
     ``ALPHA_TYPES`` type or None if empty.  A row ``compare`` cannot write
-    raises ``ContractError`` naming the file and its 1-based line: a header
-    other than ``ALPHA_COLUMNS`` or a cell past it, a cell not as ``_fmt``
-    writes its value or not finite, an unknown method or status, an ok row
-    with an empty cell (but shade's triple) or an invalid triple, a failed
-    row with more than its key, method and status, a key naming no registry
-    function, a D below 2 or an instance seed below 1, or a repeated key."""
+    raises ``ContractError`` naming the file and its 1-based line: a line
+    that is not UTF-8, a header other than ``ALPHA_COLUMNS`` or a cell past
+    it, a cell not as ``_fmt`` writes its value or not finite, an unknown
+    method or status, an ok row with an empty cell (but shade's triple) or an
+    invalid triple, a failed row with more than its key, method and status, a
+    key ``RunKey.validate`` rejects, or a repeated key."""
     rows = []
     seen = set()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = list(reader.fieldnames or ())
-        if header != list(ALPHA_COLUMNS):
-            missing = [c for c in ALPHA_COLUMNS if c not in header]
-            if missing:
-                raise ContractError(f"{path}:1: missing columns {missing}")
-            raise ContractError(f"{path}:1: columns must be {list(ALPHA_COLUMNS)}, got {header}")
-        for raw in reader:
-            where = f"{path}:{reader.line_num}"
-            if None in raw:
-                raise ContractError(f"{where}: cells past the last column: {raw[None]}")
-            row = {}
-            for column, kind in ALPHA_TYPES.items():
-                text = raw[column]
-                if text in ("", None) and column not in RunKey._fields:
-                    row[column] = None
-                    continue
-                try:
-                    value = kind(text)
-                except (ValueError, TypeError) as exc:
-                    what = "an integer" if kind is int else "a number"
-                    raise ContractError(f"{where}: {column} must be {what}, got {text!r}") from exc
-                if kind is float and not np.isfinite(value):
-                    raise ContractError(f"{where}: {column} must be finite, got {text!r}")
-                written = _fmt(value)
-                if written != text:
-                    raise ContractError(f"{where}: {column} must read {written!r}, got {text!r}")
-                row[column] = value
-            method, ok = row["method"], row["status"] == "ok"
-            if method not in METHOD_ORDER:
-                raise ContractError(f"{where}: unknown method {method!r}")
-            if not (ok or (row["status"] or "").startswith("failed: ")):
-                raise ContractError(f"{where}: unknown status {row['status']!r}")
-            # the cells compare leaves empty: shade's triple, and every cell
-            # of a failed row between its method and its status
-            empty = ("p1", "p2", "p3") if method == METHOD_SHADE else ()
-            if not ok:
-                empty = ALPHA_COLUMNS[len(RunKey._fields) + 1 : -1]
-            which = f"{'an ok' if ok else 'a failed'} {method} row"
-            for column in ALPHA_COLUMNS:
-                if (row[column] is None) != (column in empty):
-                    state = "empty" if column in empty else "filled"
-                    raise ContractError(f"{where}: {column} must be {state} in {which}")
-            try:  # a key compare can run: a registry function at D >= 2
-                ObjectiveSpec(row["function_id"], row["dim"])
-                _require_at_least("instance_seed", row["instance_seed"], 1)
-                if not empty:  # an ok row with a fixed or chosen triple
-                    ControlParams(row["p1"], row["p2"], row["p3"]).validate()
-            except ContractError as exc:
-                raise ContractError(f"{where}: {exc}") from exc
-            key = (*_key(row), method)
-            if key in seen:
-                raise ContractError(f"{where}: repeated test key and method {key}")
-            seen.add(key)
-            rows.append(row)
+    reader = csv.DictReader(utf8_lines(path))
+    header = list(reader.fieldnames or ())
+    if header != list(ALPHA_COLUMNS):
+        missing = [c for c in ALPHA_COLUMNS if c not in header]
+        if missing:
+            raise ContractError(f"{path}:1: missing columns {missing}")
+        raise ContractError(f"{path}:1: columns must be {list(ALPHA_COLUMNS)}, got {header}")
+    for raw in reader:
+        where = f"{path}:{reader.line_num}"
+        if None in raw:
+            raise ContractError(f"{where}: cells past the last column: {raw[None]}")
+        row = {}
+        for column, kind in ALPHA_TYPES.items():
+            text = raw[column]
+            if text in ("", None) and column not in RunKey._fields:
+                row[column] = None
+                continue
+            try:
+                value = kind(text)
+            except (ValueError, TypeError) as exc:
+                what = "an integer" if kind is int else "a number"
+                raise ContractError(f"{where}: {column} must be {what}, got {text!r}") from exc
+            if kind is float and not np.isfinite(value):
+                raise ContractError(f"{where}: {column} must be finite, got {text!r}")
+            written = _fmt(value)
+            if written != text:
+                raise ContractError(f"{where}: {column} must read {written!r}, got {text!r}")
+            row[column] = value
+        method, ok = row["method"], row["status"] == "ok"
+        if method not in METHOD_ORDER:
+            raise ContractError(f"{where}: unknown method {method!r}")
+        if not (ok or (row["status"] or "").startswith("failed: ")):
+            raise ContractError(f"{where}: unknown status {row['status']!r}")
+        # the cells compare leaves empty: shade's triple, and every cell
+        # of a failed row between its method and its status
+        empty = ("p1", "p2", "p3") if method == METHOD_SHADE else ()
+        if not ok:
+            empty = ALPHA_COLUMNS[len(RunKey._fields) + 1 : -1]
+        which = f"{'an ok' if ok else 'a failed'} {method} row"
+        for column in ALPHA_COLUMNS:
+            if (row[column] is None) != (column in empty):
+                state = "empty" if column in empty else "filled"
+                raise ContractError(f"{where}: {column} must be {state} in {which}")
+        try:
+            _key(row).validate()
+            if not empty:  # an ok row with a fixed or chosen triple
+                ControlParams(row["p1"], row["p2"], row["p3"]).validate()
+        except ContractError as exc:
+            raise ContractError(f"{where}: {exc}") from exc
+        key = (*_key(row), method)
+        if key in seen:
+            raise ContractError(f"{where}: repeated test key and method {key}")
+        seen.add(key)
+        rows.append(row)
     return rows
 
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import cluster, de
 from .bench import ObjectiveSpec, make_instance
-from .errors import ContractError, NoDataError
+from .errors import ContractError
 from .features import FeatureVector, extract_features
 from .metric import PerformanceScore, compute_alpha
 from .sampling import MIN_POP_SIZE, ControlParams
@@ -49,6 +49,15 @@ class RunKey(NamedTuple):
     dim: int
     instance_seed: int
     run_seed: int
+
+    def validate(self) -> "RunKey":
+        """Reject a key no command runs: a function outside the registry or a
+        D below 2 (both through ``ObjectiveSpec``), or an instance seed below
+        1.  Any run seed is valid."""
+        ObjectiveSpec(self.function_id, self.dim)
+        if self.instance_seed < 1:
+            raise ContractError(f"instance_seed must be >= 1, got {self.instance_seed}")
+        return self
 
     def instance(self):
         return make_instance(ObjectiveSpec(self.function_id, self.dim), self.instance_seed)
@@ -86,11 +95,12 @@ class TrainingRecord:
         """The record of a line in the form ``to_json_line`` writes: a JSON
         object of exactly the ``STORE_FIELDS`` fields, each value of its
         JSON type (a float field also takes a JSON integer), a finite number
-        in each float field, and a triple that ``ControlParams.validate``
-        accepts.  A missing field raises ``KeyError``, anything else
-        ``ValueError``; a float in an integer field is named after the
-        triple is validated, so a population of 7.9 is named as one.  A
-        repeated field keeps its last value, as ``json.loads`` reads it."""
+        in each float field, a triple that ``ControlParams.validate`` accepts
+        and a key that ``RunKey.validate`` accepts.  A missing field raises
+        ``KeyError``, anything else ``ValueError``; a float in an integer
+        field is named after the triple is validated, so a population of 7.9
+        is named as one.  A repeated field keeps its last value, as
+        ``json.loads`` reads it."""
         raw = json.loads(line)
         if type(raw) is not dict:
             raise ValueError(f"expected a JSON object, got {raw!r}")
@@ -112,7 +122,7 @@ class TrainingRecord:
         params = ControlParams(*values[:3]).validate()
         if inexact:
             raise ValueError("{} must be an integer, got {!r}".format(*inexact[0]))
-        features, key = FeatureVector(*values[3:6]), RunKey(*values[7:11])
+        features, key = FeatureVector(*values[3:6]), RunKey(*values[7:11]).validate()
         return cls(params, features, values[6], key, *values[11:])
 
 
@@ -138,7 +148,7 @@ class TrainingStore:
 
     def best_record(self) -> TrainingRecord:
         if not self.records:
-            raise NoDataError(f"{self} is empty")
+            raise ContractError(f"{self} is empty")
         return max(self.records, key=lambda r: r.alpha)
 
     def save(self, path) -> None:
@@ -159,23 +169,36 @@ class TrainingStore:
 
     @classmethod
     def load(cls, path) -> "TrainingStore":
-        """Read a saved store; a bad record raises ``ContractError`` naming
-        the file and its 1-based line."""
+        """Read a saved store, skipping blank lines; a line that is not UTF-8
+        or a bad record raises ``ContractError`` naming the file and its
+        1-based line."""
         records = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    records.append(TrainingRecord.from_json_line(line))
-                except KeyError as exc:
-                    raise ContractError(
-                        f"{path}:{lineno}: record has no field {exc}"
-                    ) from exc
-                except (ValueError, TypeError, OverflowError) as exc:  # an int past float range
-                    raise ContractError(f"{path}:{lineno}: bad record: {exc}") from exc
+        for lineno, line in enumerate(utf8_lines(path), start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                records.append(TrainingRecord.from_json_line(line))
+            except KeyError as exc:
+                raise ContractError(f"{path}:{lineno}: record has no field {exc}") from exc
+            except (ValueError, TypeError, OverflowError) as exc:  # an int past float range
+                raise ContractError(f"{path}:{lineno}: bad record: {exc}") from exc
         return cls(records, path=path)
+
+
+def utf8_lines(path) -> list:
+    """The file's lines, line ends kept and split where text mode splits them
+    (at \\n, \\r\\n and \\r); a line that is not UTF-8 raises ``ContractError``
+    naming the file and its 1-based line."""
+    with open(path, "rb") as fh:
+        raw = fh.read().splitlines(keepends=True)
+    lines = []
+    for lineno, data in enumerate(raw, start=1):
+        try:
+            lines.append(data.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ContractError(f"{path}:{lineno}: {exc}") from None
+    return lines
 
 
 def _utc_now() -> str:
@@ -213,7 +236,7 @@ def recommendation_table(
     """Fitted model plus, per cluster, the mean parameters of its top 10%
     records by score."""
     if not store.records:
-        raise NoDataError(f"cannot recommend from an empty {store}")
+        raise ContractError(f"cannot recommend from an empty {store}")
     features = store.features_array()
     model = fit_model(features, kappa, seed=seed, scale=scale)
     labels = model.classify_all(features)

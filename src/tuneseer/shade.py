@@ -16,13 +16,15 @@ memory slot, weighted by their objective improvements Delta_k:
 and the write index advances cyclically.  Generations without a strict
 improvement leave the memory and index untouched.  Memory slots start at 0.5;
 population size and history length (``POP_SIZE``, ``MEMORY_SIZE``) are both
-100.  The terminal-CR rule of some later history-based variants is
-intentionally not applied; CR is always plain-clipped.
+100, and the sampler and the run read ``POP_SIZE`` when called.  The
+terminal-CR rule of some later history-based variants is intentionally not
+applied; CR is always plain-clipped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -62,12 +64,12 @@ class ShadeMemory:
 
 
 def sample_memory_params(
-    memory: ShadeMemory, pop_size: int, rng: np.random.Generator
+    memory: ShadeMemory, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-individual (CR, F) draws from randomly chosen memory slots."""
-    slots = rng.integers(0, memory.size, size=pop_size)
+    slots = rng.integers(0, memory.size, size=POP_SIZE)
     cr = np.clip(rng.normal(memory.m_cr[slots], SAMPLE_SCALE), 0.0, 1.0)
-    f = memory.m_f[slots] + SAMPLE_SCALE * rng.standard_cauchy(pop_size)
+    f = memory.m_f[slots] + SAMPLE_SCALE * rng.standard_cauchy(POP_SIZE)
     bad = f <= 0.0
     while bad.any():
         f[bad] = memory.m_f[slots[bad]] + SAMPLE_SCALE * rng.standard_cauchy(
@@ -92,9 +94,6 @@ def optimize_shade(
     rng = substream(seed, "de")
     memory = ShadeMemory()
 
-    def sampler(r: np.random.Generator):
-        return sample_memory_params(memory, POP_SIZE, r)
-
     def on_generation(stats: GenerationStats) -> None:
         sel = stats.successes
         if sel.any():
@@ -102,4 +101,5 @@ def optimize_shade(
         if observer is not None:
             observer(stats, memory)
 
+    sampler = partial(sample_memory_params, memory)
     return evolve(instance, POP_SIZE, budget, rng, sampler, on_generation)

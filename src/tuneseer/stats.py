@@ -93,8 +93,6 @@ def wilcoxon(diffs) -> WilcoxonResult:
     var = n * (n + 1) * (2 * n + 1) / 24.0
     _, tie_counts = np.unique(ranks, return_counts=True)
     var -= float(np.sum(tie_counts**3 - tie_counts)) / 48.0
-    if var <= 0.0:
-        return WilcoxonResult(w, 1.0, r_plus, r_minus, n, "normal")
     t = min(r_plus, r_minus)
     # continuity correction of 0.5 toward the mean
     correction = 0.5 * math.copysign(1.0, t - mean) if t != mean else 0.0

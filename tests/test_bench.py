@@ -16,7 +16,7 @@ from tuneseer.bench import (
     suite_listing,
     training_suite,
 )
-from tuneseer.errors import ContractError, UnknownFunctionError
+from tuneseer.errors import ContractError
 
 
 def test_identity_instance_has_no_transform():
@@ -53,7 +53,7 @@ def test_different_seeds_differ():
 
 
 def test_unknown_function_rejected():
-    with pytest.raises(UnknownFunctionError):
+    with pytest.raises(ContractError, match="^unknown function id 'not_a_function'$"):
         ObjectiveSpec("not_a_function", 3)
 
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import tuneseer
 from tuneseer import cli, cluster, harness
 from tuneseer.bench import ObjectiveInstance, make_instance
-from tuneseer.errors import ContractError, NoDataError
+from tuneseer.errors import ContractError
 from tuneseer.features import FeatureVector, extract_features
 from tuneseer.harness import (
     CampaignConfig,
@@ -429,7 +429,7 @@ def test_recommend_fits_the_store_before_sampling_features(tmp_path, capsys, mon
         return extract_features(*args)
 
     monkeypatch.setattr(harness, "extract_features", spy)
-    with pytest.raises(NoDataError):
+    with pytest.raises(ContractError, match="cannot recommend from an empty training store"):
         cmd_recommend(str(store), 10, function_id="rastrigin", dim=20, sigma=1000)
     argv = ["recommend", "--store", str(store), "--function", "rastrigin", "--dim", "20"]
     assert cli.main([*argv, "--sigma", "1000"]) == 1
@@ -576,6 +576,35 @@ def test_report_names_line_of_malformed_alpha_csv(
     assert not (tmp_path / "wilcoxon.csv").exists()
 
 
+def test_report_names_the_line_of_a_non_utf8_byte(tmp_path, capsys):
+    path = tmp_path / "alpha.csv"
+    _write_alpha_csv(path, harness.ALPHA_COLUMNS, _GOOD_ALPHA_ROWS)
+    lines = path.read_bytes().split(b"\r\n")
+    lines[2] = lines[2].replace(b"literature", b"liter\xffture")
+    path.write_bytes(b"\r\n".join(lines))
+    assert cli.main(["report", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: {path}:3: 'utf-8' codec can't decode byte 0xff in position "
+        f"{lines[2].index(0xFF)}: invalid start byte\n"
+    )
+    assert not (tmp_path / "wilcoxon.csv").exists()
+
+
+def test_recommend_names_the_store_line_of_a_non_utf8_byte(trained, tmp_path, capsys):
+    _, _, store_path = trained
+    lines = open(store_path, "rb").read().splitlines()
+    bad = tmp_path / "store.jsonl"
+    bad.write_bytes(b"\n".join([lines[0], b"\xff" + lines[1], *lines[2:]]) + b"\n")
+    argv = ["recommend", "--store", str(bad), "--beta", "10,1.3,0.2"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: {bad}:2: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte\n"
+    )
+
+
 def test_report_rejects_alpha_csv_without_a_column(tmp_path, capsys):
     index = harness.ALPHA_COLUMNS.index("run_seed")
     columns = [c for c in harness.ALPHA_COLUMNS if c != "run_seed"]
@@ -675,6 +704,22 @@ def test_cli_config_file_must_hold_an_object(tmp_path, capsys, text):
     expected = f"error: {config_path}: expected a JSON object, got {json.loads(text)!r}\n"
     assert capsys.readouterr().err == expected
     assert os.listdir(tmp_path) == ["config.json"]
+
+
+@pytest.mark.parametrize(
+    "data,reason",
+    [
+        (b'{"dims": [2,}', "Expecting value: line 1 column 13 (char 12)"),
+        (b'{"dims": [2]}\xff', "'utf-8' codec can't decode byte 0xff in position 13"),
+    ],
+)
+def test_cli_config_file_errors_name_the_file(tmp_path, capsys, data, reason):
+    config_path = tmp_path / "bad.json"
+    config_path.write_bytes(data)
+    assert cli.main(["train", "--config", str(config_path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config_path}: {reason}") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == ["bad.json"]
 
 
 def test_every_config_key_has_a_checked_type():

@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tuneseer import predictor
-from tuneseer.bench import ObjectiveSpec, make_instance, training_suite
+from tuneseer.bench import REGISTRY, ObjectiveSpec, make_instance, training_suite
 from tuneseer.cluster import ClusterModel, FeatureScaler
-from tuneseer.errors import ContractError, NoDataError
+from tuneseer.errors import ContractError
 from tuneseer.features import FeatureVector, extract_features
 from tuneseer.predictor import (
     RunKey,
@@ -117,7 +117,7 @@ def test_alpha_tie_breaks_by_insertion_order():
 
 def test_recommend_empty_store_rejected():
     # the fit owns the empty-store check, so no pair exists to recommend from
-    with pytest.raises(NoDataError):
+    with pytest.raises(ContractError, match="^cannot recommend from an empty training store$"):
         recommendation_table(TrainingStore(), 1)
 
 
@@ -186,8 +186,8 @@ def test_serialized_store_is_byte_prefix_of_grown_store(tmp_path):
     assert b.read_bytes().startswith(a.read_bytes())
 
 
-# a store holds finite numbers and valid triples only; anything else is a
-# load error (below)
+# a store holds finite numbers, valid triples and keys a command runs only;
+# anything else is a load error (below)
 _floats = st.floats(allow_nan=False, allow_infinity=False)
 _ints = st.integers(-(2**63), 2**63 - 1)
 _records = st.builds(
@@ -201,7 +201,11 @@ _records = st.builds(
     features=st.builds(FeatureVector, beta1=_floats, beta2=_floats, beta3=_floats),
     alpha=_floats,
     key=st.builds(
-        RunKey, function_id=st.text(), dim=_ints, instance_seed=_ints, run_seed=_ints
+        RunKey,
+        function_id=st.sampled_from(sorted(REGISTRY)),
+        dim=st.integers(2, 2**63 - 1),
+        instance_seed=st.integers(1, 2**63 - 1),
+        run_seed=_ints,
     ),
     sigma=_ints,
     timestamp=st.text(),
@@ -338,6 +342,12 @@ def test_load_rejects_an_invalid_parameter_triple(tmp_path, key, value, reason):
         ({"timestamp": 7}, "timestamp must be a string, got 7"),
         ({"extra": 1, "dimm": 10}, "unknown fields ['dimm', 'extra']"),
         ("[1, 2]", "expected a JSON object, got [1, 2]"),
+        # a key a command runs: a registry function, D >= 2, instance seed >= 1
+        ({"function_id": "nope"}, "unknown function id 'nope'"),
+        ({"function_id": ""}, "unknown function id ''"),
+        ({"dim": 1}, "dimension must be >= 2, got 1"),
+        ({"instance_seed": 0}, "instance_seed must be >= 1, got 0"),
+        ({"instance_seed": -4}, "instance_seed must be >= 1, got -4"),
     ],
 )
 def test_load_reads_a_record_only_in_the_form_it_is_written(tmp_path, change, reason):
@@ -353,6 +363,17 @@ def test_load_reads_a_record_only_in_the_form_it_is_written(tmp_path, change, re
     with pytest.raises(ContractError) as info:
         TrainingStore.load(path)
     assert str(info.value) == f"{path}:4: bad record: {reason}"
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_load_skips_blank_lines(tmp_path, newline):
+    store, _, _ = synthetic_store()
+    path = tmp_path / "store.jsonl"
+    store.save(path)
+    lines = path.read_text().splitlines()
+    spaced = ["", *lines[:2], "", "  \t", *lines[2:], "", ""]
+    path.write_bytes(newline.join(spaced).encode())
+    assert TrainingStore.load(path).records == store.records
 
 
 def test_load_reads_integers_in_float_fields_as_floats(tmp_path):

@@ -129,7 +129,7 @@ def test_frozen_memory_equals_shared_kernel_with_sampled_params():
     rng = substream(seed, "de")
 
     def sampler(r):
-        return sample_memory_params(memory, shade.POP_SIZE, r)
+        return sample_memory_params(memory, r)
 
     b = de.evolve(_FlatObjective(4), shade.POP_SIZE, budget, rng, sampler)
     assert a.generations == b.generations
@@ -156,7 +156,7 @@ def test_shade_equals_shared_kernel_with_memory_observer():
     rng = substream(seed, "de")
 
     def sampler(r):
-        return sample_memory_params(memory, shade.POP_SIZE, r)
+        return sample_memory_params(memory, r)
 
     def update(stats):
         sel = stats.successes
