@@ -19,7 +19,9 @@ command fails.
 
 `--scale acceptance` (the default) is the criterion-10 campaign of
 tests/test_acceptance.py: 900 training runs and 540 held-out keys.  `tiny`
-finishes in seconds.  Nothing in the checkout is written.
+finishes in seconds and runs two instances per function, so every curve
+file holds more than one instance of a method.  Nothing in the checkout is
+written.
 """
 
 from __future__ import annotations
@@ -37,13 +39,14 @@ THIS_SRC = Path(__file__).resolve().parents[1] / "src"
 SCALES = {
     # criterion 10: training suite once per key, 30 held-out seeds
     "acceptance": dict(
-        dims="2,10,20", train_seeds="0,", n_param_sets="30", seeds="30",
+        dims="2,10,20", instances="1", train_seeds="0,", n_param_sets="30", seeds="30",
         budget="10000", sigma="1000", kappa="10",
         methods="predictive,best-of-training,literature",
         feature_sigmas="10,100,1000",
     ),
+    # two instances, so the order of instances within a method is compared
     "tiny": dict(
-        dims="2", train_seeds="0,", n_param_sets="2", seeds="2",
+        dims="2", instances="2", train_seeds="0,", n_param_sets="2", seeds="2",
         budget="1600", sigma="50", kappa="3",
         methods="predictive,best-of-training,shade,literature",
         feature_sigmas="20,50",
@@ -57,7 +60,7 @@ def commands(scale: dict, workers: int) -> list:
     directory of the compare step it names."""
     store = os.path.join("train", "store.jsonl")
     common = [
-        "--dims", scale["dims"], "--instances", "1", "--budget", scale["budget"],
+        "--dims", scale["dims"], "--instances", scale["instances"], "--budget", scale["budget"],
         "--kappa", scale["kappa"], "--workers", str(workers),
     ]
     compare = [

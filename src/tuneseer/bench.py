@@ -13,8 +13,9 @@ optimum shift plus an orthogonal rotation:
 
 Instance seed 0 is the identity transform.  Identical (function id, D, seed)
 triples reproduce bit-identical transforms.  Base formulas are documented on
-each function below; all have known optimum value 0.  ``REGISTRY`` is the
-two presets together.
+each function below; all have known optimum value 0.  ``SUITES`` names the
+two presets, ``suite(name, dims)`` lists one at the given dimensions, and
+``REGISTRY`` is the two presets together.
 """
 
 from __future__ import annotations
@@ -243,9 +244,9 @@ HOLDOUT_PRESET: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     }.items()
 }
 
+# The suites by name; a campaign's ``suite`` key is one of these names.
+SUITES = {"training": TRAINING_PRESET, "holdout": HOLDOUT_PRESET}
 REGISTRY = {**TRAINING_PRESET, **HOLDOUT_PRESET}
-TRAINING_FUNCTIONS = tuple(TRAINING_PRESET)
-HOLDOUT_FUNCTIONS = tuple(HOLDOUT_PRESET)
 
 
 @dataclass(frozen=True)
@@ -326,14 +327,10 @@ def make_instance(spec: ObjectiveSpec, instance_seed: int) -> ObjectiveInstance:
     )
 
 
-def training_suite(dims) -> list[ObjectiveSpec]:
-    """Every training function at every dimension of ``dims``."""
-    return [ObjectiveSpec(f, d) for f in TRAINING_FUNCTIONS for d in dims]
-
-
-def holdout_suite(dims) -> list[ObjectiveSpec]:
-    """Every held-out function at every dimension of ``dims``."""
-    return [ObjectiveSpec(f, d) for f in HOLDOUT_FUNCTIONS for d in dims]
+def suite(name: str, dims) -> list[ObjectiveSpec]:
+    """Every function of suite ``name``, in preset order, at every dimension
+    of ``dims``."""
+    return [ObjectiveSpec(f, d) for f in SUITES[name] for d in dims]
 
 
 def suite_listing(suite: list[ObjectiveSpec]) -> list[dict]:

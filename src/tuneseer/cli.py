@@ -17,6 +17,7 @@ from dataclasses import replace
 from functools import partial
 
 from . import harness
+from .bench import SUITES
 from .errors import ContractError
 
 
@@ -62,7 +63,7 @@ def _beta(text: str) -> tuple:
 # a --sigma list sets sigma to its first value and, if longer, sigmas to all.
 _CAMPAIGN_FLAGS = (
     ("--config", "config", _text, "JSON config file; flags override its keys"),
-    ("--suite", "suite", _text, "training|holdout"),
+    ("--suite", "suite", _text, "|".join(SUITES)),
     ("--dims", "dims", _list, "comma-separated dimensions, e.g. 2,10,20"),
     ("--instances", "instances", int, "instance count per function"),
     ("--seeds", "seeds", _seeds, "seed count or comma list (comparison runs)"),

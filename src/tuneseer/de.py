@@ -16,9 +16,11 @@ coordinate.
 
 The fixed-parameter optimizer and the adaptive baseline share the generation
 kernel ``evolve``; they differ only in how per-individual (CR, F) pairs are
-sampled each generation.  Per generation, draws are consumed in a fixed
-order: (CR, F) sampler, greediness q, one bounded-integer draw (pbest rank,
-r1, r2, forced coordinate), crossover mask, archive evictions.
+sampled each generation.  The kernel's observer sees each generation's
+``GenerationStats`` once its trials are evaluated, before selection, and
+draws nothing from the run's generator.  Per generation, draws are consumed
+in a fixed order: (CR, F) sampler, greediness q, one bounded-integer draw
+(pbest rank, r1, r2, forced coordinate), crossover mask, archive evictions.
 
 Archive layout.  Population and archive share one preallocated (2 pop, D)
 buffer: rows [0, pop) are the population and the next n_arch rows the
@@ -68,7 +70,6 @@ class RunTrace:
     """
 
     generations: list[tuple[int, int, float]] = field(default_factory=list)
-    best_solution: Optional[np.ndarray] = None
     final_population: Optional[np.ndarray] = None
     final_values: Optional[np.ndarray] = None
 
@@ -83,7 +84,8 @@ class RunTrace:
 
 @dataclass(frozen=True)
 class GenerationStats:
-    """Passed to the kernel observer after each generation's selection."""
+    """Passed to the kernel observer once a generation's trials are
+    evaluated, before selection."""
 
     cr: np.ndarray
     f: np.ndarray
@@ -114,8 +116,8 @@ def evolve(
     has no score (``metric.unscorable``) stops after that generation.
 
     ``sample_cr_f(rng)`` returns this generation's per-individual crossover
-    probabilities and weights.  ``observer`` (if given) sees the selection
-    outcome of every generation.
+    probabilities and weights.  ``observer`` (if given) sees each
+    generation's stats once its trials are evaluated, before selection.
     """
     if budget < pop_size:
         raise ContractError(
@@ -171,10 +173,8 @@ def evolve(
         used += pop_size
 
         improved = tvals <= fvals
-        if observer is not None:  # taken before selection overwrites fvals
-            stats = GenerationStats(
-                cr=cr, f=f, successes=tvals < fvals, deltas=fvals - tvals
-            )
+        if observer is not None:  # before selection overwrites fvals
+            observer(GenerationStats(cr=cr, f=f, successes=tvals < fvals, deltas=fvals - tvals))
 
         # buffer rows of the archive after appending every winner's parent
         rows = list(range(pop_size, pop_size + n_arch))
@@ -189,11 +189,6 @@ def evolve(
         fvals[improved] = tvals[improved]
         trace.generations.append((gen, instance.eval_counter, float(fvals.min())))
 
-        if observer is not None:
-            observer(stats)
-
-    best = int(np.argmin(fvals))
-    trace.best_solution = pop[best].copy()
     trace.final_population = pop.copy()
     trace.final_values = fvals
     return trace

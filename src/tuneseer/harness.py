@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import csv
+import itertools
 import json
 import numbers
 import os
@@ -35,13 +36,7 @@ from typing import Optional, get_type_hints
 import numpy as np
 
 from . import cluster, de, predictor, shade
-from .bench import (
-    ObjectiveSpec,
-    holdout_suite,
-    make_instance,
-    suite_listing,
-    training_suite,
-)
+from .bench import SUITES, ObjectiveSpec, make_instance, suite, suite_listing
 from .errors import ContractError
 from .features import FeatureVector, extract_features
 from .metric import compute_alpha
@@ -105,7 +100,8 @@ _CONFIG_TYPES = {
         "methods",
     ),
     "a bool": (lambda v: isinstance(v, bool), "feature_scaling paper_instances"),
-    "training|holdout": (lambda v: v in ("training", "holdout"), "suite"),
+    # a JSON object is unhashable: test it against a tuple of the names, not the dict
+    "|".join(SUITES): (lambda v: v in tuple(SUITES), "suite"),
     "per-run|per-batch": (lambda v: v in ("per-run", "per-batch"), "retrain"),
     "a non-blank path": (
         lambda v: isinstance(v, (str, os.PathLike)) and os.fspath(v).strip(),
@@ -183,12 +179,11 @@ class CampaignConfig:
             raise ContractError(f"{path}: expected a JSON object, got {raw!r}")
         unknown = raw.keys() - {f.name for f in fields(cls)}
         if unknown:
-            raise ContractError(f"unknown config keys: {sorted(unknown)}")
+            raise ContractError(f"{path}: unknown config keys: {sorted(unknown)}")
         return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
 
     def suite_specs(self) -> list[ObjectiveSpec]:
-        maker = training_suite if self.suite == "training" else holdout_suite
-        return maker(self.dims)
+        return suite(self.suite, self.dims)
 
     def train_instance_seeds(self) -> tuple:
         return tuple(range(1, self.instances + 1))
@@ -464,25 +459,27 @@ def _emit_wilcoxon(out_dir: str, wilcoxon_rows: list) -> None:
 
 
 def _write_curves(out_dir: str, results: list) -> None:
-    """One file per (function, dim, seed); ``results`` come in row order."""
-    groups: dict[tuple, list] = {}
-    for row, _, curve in results:
-        if curve:
-            key = (row["function_id"], row["dim"], row["run_seed"])
-            groups.setdefault(key, []).append((row, curve))
+    """One file per (function, dim, seed), method by method; ``results`` come
+    in row order, and the stable sort by file and method keeps that order
+    among each method's instances."""
     curve_dir = os.path.join(out_dir, "curves")
     os.makedirs(curve_dir, exist_ok=True)
-    for (fid, dim, seed), members in sorted(groups.items()):
-        path = os.path.join(curve_dir, f"{fid}_{dim}_{seed}.csv")
-        # method by method; the stable sort keeps each method's instances
-        # in row order
-        members.sort(key=lambda m: METHOD_ORDER.index(m[0]["method"]))
-        rows = [
+    runs = sorted(
+        (
+            (f"{row['function_id']}_{row['dim']}_{row['run_seed']}.csv", row, curve)
+            for row, _, curve in results
+            if curve
+        ),
+        key=lambda run: (run[0], METHOD_ORDER.index(run[1]["method"])),
+    )
+    # a file's rows are made as it is written, so one file's rows exist at a time
+    for name, file_runs in itertools.groupby(runs, key=lambda run: run[0]):
+        rows = (
             dict(zip(CURVE_COLUMNS, (row["method"], row["instance_seed"], *point)))
-            for row, curve in members
+            for _, row, curve in file_runs
             for point in curve
-        ]
-        _write_csv(path, CURVE_COLUMNS, rows)
+        )
+        _write_csv(os.path.join(curve_dir, name), CURVE_COLUMNS, rows)
 
 
 def cmd_compare(config: CampaignConfig) -> ComparisonReport:

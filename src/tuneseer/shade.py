@@ -6,8 +6,9 @@ circular history and samples
     CR_i ~ Normal(m_cr[r], 0.1)  clipped to [0, 1]
     F_i  ~ Cauchy(m_f[r], 0.1)   resampled while <= 0, truncated to 1
 
-After selection, the (CR, F) pairs of strictly improving trials update one
-memory slot, weighted by their objective improvements Delta_k:
+Once a generation's trials are evaluated, the (CR, F) pairs of strictly
+improving trials update one memory slot, weighted by their objective
+improvements Delta_k:
 
     with w_k = Delta_k / sum Delta,
     m_cr[w_idx] <- sum w_k CR_k            (weighted arithmetic mean)

@@ -139,15 +139,17 @@ def test_criterion_4_de_kernel():
         assert instance.eval_counter <= budget
         assert instance.eval_counter >= budget - p3 + 1
 
-    # empirical regression bound frozen from the 30-seed oracle run
+    # empirical regression bound, frozen from these 30 seeds: sphere D = 10,
+    # instance 1, the literature triple, 10,000 evaluations
     finals = []
     for seed in range(30):
         instance = make_instance(ObjectiveSpec("sphere", 10), 1)
         tr = optimize(instance, ControlParams(0.9, 0.5, 100), 10_000, seed)
         finals.append(tr.best_value)
-    reached = sum(1 for f in finals if f <= 1e-2)
-    assert reached >= 28
-    ok(4, f"stationarity, invariants, sphere bound reached on {reached}/30 seeds")
+    counts = ", ".join(f"<= {b:g}: {sum(f <= b for f in finals)}/30" for b in (1e-2, 1e-4, 1e-6))
+    bound = f"median {np.median(finals):.3e}, worst {max(finals):.3e}; {counts}"
+    assert sum(f <= 1e-2 for f in finals) >= 28, bound
+    ok(4, f"stationarity, invariants, sphere final best {bound}")
 
 
 # -- 5 ----------------------------------------------------------------------

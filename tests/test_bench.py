@@ -6,15 +6,15 @@ import pytest
 
 from tuneseer import bench
 from tuneseer.bench import (
-    HOLDOUT_FUNCTIONS,
+    HOLDOUT_PRESET,
     HOLDOUT_VALUE_OFFSET,
     REGISTRY,
-    TRAINING_FUNCTIONS,
+    SUITES,
+    TRAINING_PRESET,
     ObjectiveSpec,
-    holdout_suite,
     make_instance,
+    suite,
     suite_listing,
-    training_suite,
 )
 from tuneseer.errors import ContractError
 
@@ -149,10 +149,11 @@ def test_eval_counter_exactness():
 
 
 def test_suites_disjoint_and_sized():
-    train = {s.function_id for s in training_suite(dims=(2,))}
-    hold = {s.function_id for s in holdout_suite(dims=(2,))}
-    assert train == set(TRAINING_FUNCTIONS)
-    assert hold == set(HOLDOUT_FUNCTIONS)
+    assert SUITES == {"training": TRAINING_PRESET, "holdout": HOLDOUT_PRESET}
+    train = {s.function_id for s in suite("training", dims=(2,))}
+    hold = {s.function_id for s in suite("holdout", dims=(2,))}
+    assert train == set(TRAINING_PRESET)
+    assert hold == set(HOLDOUT_PRESET)
     assert not train & hold
     # a function no preset reaches has no caller; keep it out of the registry
     assert set(REGISTRY) == train | hold
@@ -162,7 +163,7 @@ def test_suites_disjoint_and_sized():
 
 @pytest.mark.parametrize("d", [2, 50])
 def test_every_spec_evaluates_at_midpoint(d):
-    for spec in training_suite(dims=(d,)) + holdout_suite(dims=(d,)):
+    for spec in suite("training", dims=(d,)) + suite("holdout", dims=(d,)):
         inst = make_instance(spec, 1)
         midpoint = 0.5 * (inst.domain.lower + inst.domain.upper)
         value = inst.evaluate_batch(midpoint[None])[0]
@@ -170,7 +171,7 @@ def test_every_spec_evaluates_at_midpoint(d):
 
 
 def test_suite_listing_is_json_ready():
-    listing = suite_listing(training_suite(dims=(2,)))
+    listing = suite_listing(suite("training", dims=(2,)))
     text = json.dumps(listing)
     parsed = json.loads(text)
     assert parsed[0]["function_id"] == "sphere"

@@ -27,7 +27,7 @@ def test_deterministic_trace():
     _, a = run(seed=11)
     _, b = run(seed=11)
     assert a.generations == b.generations
-    assert np.array_equal(a.best_solution, b.best_solution)
+    assert np.array_equal(a.final_population, b.final_population)
     _, c = run(seed=12)
     assert a.generations != c.generations
 
@@ -246,8 +246,6 @@ def _reference_evolve(
                 de.GenerationStats(cr=cr, f=f, successes=successes, deltas=deltas)
             )
 
-    best = int(np.argmin(fvals))
-    trace.best_solution = pop[best].copy()
     trace.final_population = pop
     trace.final_values = fvals
     return trace
@@ -257,7 +255,6 @@ def _assert_same_trace(got, want):
     assert got.generations == want.generations
     assert np.array_equal(got.final_population, want.final_population)
     assert np.array_equal(got.final_values, want.final_values)
-    assert np.array_equal(got.best_solution, want.best_solution)
 
 
 MULTI_GEN_GRID = [

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import itertools
 import json
 import os
 import re
@@ -130,6 +131,23 @@ def test_compare_outputs_and_pairing(compared):
     grown = compared / "store_after_compare.jsonl"
     assert grown.exists() if hasattr(grown, "exists") else os.path.exists(grown)
     assert len(open(grown).readlines()) == 20 + 12
+
+
+def test_curve_files_list_each_method_instance_by_instance(tmp_path):
+    config = train_config(
+        tmp_path, suite="holdout", instances=2, seeds=(0,), methods=("shade", "literature")
+    )
+    cmd_compare(config)
+    names = sorted(os.listdir(tmp_path / "curves"))
+    assert len(names) == 6  # 6 holdout functions x 1 dim x 1 seed
+    for name in names:
+        runs = [(r["method"], r["instance_seed"]) for r in read_rows(tmp_path / "curves" / name)]
+        assert [run for run, _ in itertools.groupby(runs)] == [
+            ("shade", "101"),
+            ("shade", "102"),
+            ("literature", "101"),
+            ("literature", "102"),
+        ], name
 
 
 def test_compare_determinism(trained):
@@ -684,6 +702,7 @@ def test_cli_config_file_with_flag_override(tmp_path):
         ("train", "feature_scaling", "no"),
         ("compare", "retrain", 1),
         ("train", "budget", None),  # null is a value, not the default
+        ("train", "suite", {"name": "training"}),  # unhashable: no dict lookup
     ],
 )
 def test_cli_config_file_type_errors(tmp_path, capsys, command, key, value):
@@ -711,6 +730,7 @@ def test_cli_config_file_must_hold_an_object(tmp_path, capsys, text):
     [
         (b'{"dims": [2,}', "Expecting value: line 1 column 13 (char 12)"),
         (b'{"dims": [2]}\xff', "'utf-8' codec can't decode byte 0xff in position 13"),
+        (b'{"nonsense": 1}', "unknown config keys: ['nonsense']"),
     ],
 )
 def test_cli_config_file_errors_name_the_file(tmp_path, capsys, data, reason):

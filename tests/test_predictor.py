@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tuneseer import predictor
-from tuneseer.bench import REGISTRY, ObjectiveSpec, make_instance, training_suite
+from tuneseer.bench import REGISTRY, ObjectiveSpec, make_instance
 from tuneseer.cluster import ClusterModel, FeatureScaler
 from tuneseer.errors import ContractError
 from tuneseer.features import FeatureVector, extract_features

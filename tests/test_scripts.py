@@ -42,9 +42,3 @@ def test_desk_campaign_ends_with_a_failed_steps_exit_code(tmp_path, capsys):
     assert "error: budget 40" in capsys.readouterr().err
     assert not (tmp_path / "desk" / "alpha.csv").exists()
 
-
-def test_calibrate_de_bound_runs(capsys):
-    load("calibrate_de_bound").main()
-    out = capsys.readouterr().out
-    assert "seed 29: final best" in out
-    assert "<= 0.01: " in out
