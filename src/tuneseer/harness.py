@@ -1,8 +1,8 @@
 """Campaign orchestration: training runs, method comparisons, feature
 tables, and report emission.  Every command's runs are listed and seeded
 here; ``train`` and ``compare`` send theirs through one process pool,
-``pool_map``, one run per task, and ``features`` extracts its features
-serially.
+``pool_map``, one run per task and no more workers than tasks, and
+``features`` extracts its features serially.
 
 Outputs under the campaign directory:
 
@@ -14,8 +14,8 @@ Outputs under the campaign directory:
     features.csv                   feature table with cluster assignments
     curves/<function>_<dim>_<seed>.csv   improvement-only convergence rows
 
-A run's one key, ``predictor.RunKey``, is held by its task, kept by its
-store record and starts its alpha.csv row.  Every run is seeded from the
+A run is made from its one key, ``predictor.RunKey``, which its store
+record keeps and its alpha.csv row starts with.  Every run is seeded from the
 campaign seed and its key, so repeated campaigns reproduce alpha.csv
 byte-identically.  Failed runs are kept as explicit rows, and ``report``
 reads back only rows ``compare`` can write, as the typed rows it wrote.
@@ -29,7 +29,7 @@ import itertools
 import json
 import numbers
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Optional, get_type_hints
 
@@ -277,9 +277,10 @@ def _write_suite_json(out_dir: str, specs: list[ObjectiveSpec]) -> None:
 
 
 def pool_map(fn, items: list, workers: int) -> list:
-    """``fn`` over ``items`` in item order, one item per pool task; a process
-    pool serves only with more than one worker and more than one item."""
-    if workers > 1 and len(items) > 1:
+    """``fn`` over ``items`` in item order, one item per pool task; the pool
+    has no more workers than items and opens only with two or more."""
+    workers = min(workers, len(items))
+    if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]
@@ -304,10 +305,7 @@ def _run_training_item(config: CampaignConfig, item: _TrainingItem) -> TrainingR
     by the campaign seed, the key and the parameter set."""
     key = item.key
     seed = derive_seed(config.campaign_seed, "train", *key[:3], item.param_idx, key.run_seed)
-    _, _, record = predictor.featured_run(
-        key.instance(), lambda _: item.params, config.sigma, config.budget, seed
-    )
-    return replace(record, key=key)
+    return predictor.featured_run(key, lambda _: item.params, config.sigma, config.budget, seed)[2]
 
 
 def cmd_train(config: CampaignConfig) -> str:
@@ -382,20 +380,17 @@ def _run_compare_item(config: CampaignConfig, model, table, item: _CompareItem) 
     row = {**dict.fromkeys(ALPHA_COLUMNS), **key._asdict(), "method": item.method}
     seed = derive_seed(config.campaign_seed, "compare", *key)
     try:
-        instance = key.instance()
         params, record = item.params, None
         if item.method == METHOD_PREDICTIVE:
             trace, score, record = run_predictive(
-                instance, model, table, config.sigma, config.budget, seed
+                key, model, table, config.sigma, config.budget, seed
             )
-            # the store keys records by the test key, as training does
-            record = replace(record, key=key)
             params = record.params
         else:
             if item.method == METHOD_SHADE:
-                trace = shade.optimize_shade(instance, config.budget, seed)
+                trace = shade.optimize_shade(key.instance(), config.budget, seed)
             else:
-                trace = de.optimize(instance, params, config.budget, seed)
+                trace = de.optimize(key.instance(), params, config.budget, seed)
             score = compute_alpha(trace)
         curve = _improvement_rows(trace)
     except Exception as exc:  # failures become explicit report rows

@@ -4,8 +4,8 @@ recommendation engine mined from it.
 A training campaign (``harness.cmd_train``) makes one record per
 optimization run, each through ``featured_run`` with a fixed parameter
 triple, the same runner a predictive run uses.  A record names its run by
-its ``RunKey``; ``STORE_FIELDS`` declares a store line once, and a line is
-read back only in the form ``to_json_line`` writes it.  To recommend
+the ``RunKey`` it is made from; ``STORE_FIELDS`` declares a store line once,
+and a line is read back only as ``to_json_line`` writes it.  To recommend
 parameters for a new function, the stored feature vectors are clustered,
 the new function's features are classified, and the mean parameter triple of
 the top 10% of that cluster's records (ranked by score) is returned.
@@ -13,7 +13,7 @@ the top 10% of that cluster's records (ranked by score) is returned.
 ``recommendation_table`` fits the clustering and builds that per-cluster
 table once; ``recommend(model, table, beta)`` is the one step from a feature
 vector to a cluster and its triple, and fits nothing.  ``run_predictive``
-makes one on-line run with the frozen (model, table) pair and returns the
+makes a key's on-line run with the frozen (model, table) pair and returns the
 run's record.  A comparison appends those records to the store and, in
 per-run mode, refits the pair after every run, so the memory extends across
 the whole history of using the tool.
@@ -265,38 +265,37 @@ def recommend(
 
 
 def featured_run(
-    instance, choose, sigma: int, budget: int, seed: int
+    key: RunKey, choose, sigma: int, budget: int, seed: int
 ) -> tuple[de.RunTrace, PerformanceScore, TrainingRecord]:
-    """Extract features from sigma evaluations, optimize with
-    ``choose(features)`` on the remaining budget, and score the combined
-    cost; the record's key names the instance and ``seed`` as its run seed."""
+    """Extract features from sigma evaluations of ``key``'s instance, optimize
+    with ``choose(features)`` on the remaining budget, and score the combined
+    cost; both draw from stream ``seed``, and the record keeps ``key``."""
     if budget <= sigma:
         raise ContractError(f"budget {budget} must exceed sigma {sigma}")
+    instance = key.instance()
     beta = extract_features(instance, sigma, seed)
     params = choose(beta)
     trace = de.optimize(instance, params, budget - sigma, seed)
     score = compute_alpha(trace)
-    key = RunKey(instance.spec.function_id, instance.dim, instance.instance_seed, seed)
     return trace, score, TrainingRecord(params, beta, score.alpha, key, sigma, _utc_now())
 
 
 def run_predictive(
-    instance,
+    key: RunKey,
     model: cluster.ClusterModel,
     table: dict[int, ControlParams],
     sigma: int,
     budget: int,
     seed: int,
 ) -> tuple[de.RunTrace, PerformanceScore, TrainingRecord]:
-    """One on-line use of the methodology on a new instance.
+    """One on-line use of the methodology on ``key``'s instance.
 
     Features are extracted from a fresh sample (sigma evaluations charged to
     the instance) and ``recommend`` maps them to their cluster's ``table``
     entry; the optimizer runs with it on the remaining budget, and the score
     covers the combined cost.  ``(model, table)`` is what
-    ``recommendation_table`` returns; the record's key holds ``seed`` as its
-    run seed.
+    ``recommendation_table`` returns.
     """
     return featured_run(
-        instance, lambda beta: recommend(model, table, beta)[0], sigma, budget, seed
+        key, lambda beta: recommend(model, table, beta)[0], sigma, budget, seed
     )

@@ -97,8 +97,7 @@ def optimize_shade(
 
     def on_generation(stats: GenerationStats) -> None:
         sel = stats.successes
-        if sel.any():
-            memory.update(stats.cr[sel], stats.f[sel], stats.deltas[sel])
+        memory.update(stats.cr[sel], stats.f[sel], stats.deltas[sel])
         if observer is not None:
             observer(stats, memory)
 

@@ -320,7 +320,7 @@ def test_criterion_8_predictor_arithmetic():
 # -- 9 ----------------------------------------------------------------------
 
 
-def test_criterion_9_budget_accounting():
+def test_criterion_9_budget_accounting(monkeypatch):
     records = [
         TrainingRecord(
             params=ControlParams(0.5 + 0.01 * i, 0.5, 50 + i),
@@ -337,8 +337,10 @@ def test_criterion_9_budget_accounting():
     model, table = recommendation_table(store, kappa=2)
     for seed in range(30):
         instance = make_instance(ObjectiveSpec("ackley", 10), 5)
+        monkeypatch.setattr(RunKey, "instance", lambda key: instance)
+        key = RunKey("ackley", 10, 5, seed)
         trace, score, _ = run_predictive(
-            instance, model, table, sigma=sigma, budget=budget, seed=seed
+            key, model, table, sigma=sigma, budget=budget, seed=seed
         )
         assert instance.eval_counter <= budget
         assert instance.eval_counter - sigma <= budget - sigma

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import dataclasses
 import itertools
@@ -867,6 +868,34 @@ def test_all_four_methods_compare(trained):
     assert len(report.wilcoxon_rows) == 6  # all unordered method pairs
     first = report.wilcoxon_rows[0]
     assert first["method_a"] == "predictive"  # canonical sign convention
+
+
+def test_pool_map_opens_no_more_workers_than_items(monkeypatch):
+    # a pool that maps in-process: never start a process to test a pool size
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    assert harness.pool_map(str, [1, 2], 64) == ["1", "2"]
+    assert harness.pool_map(str, [1, 2, 3], 2) == ["1", "2", "3"]
+    assert sizes == [2, 2]
+    # one item, or one worker, needs no pool
+    assert harness.pool_map(str, [1], 64) == ["1"]
+    assert harness.pool_map(str, [1, 2], 1) == ["1", "2"]
+    assert harness.pool_map(str, [], 4) == []
+    assert sizes == [2, 2]
 
 
 def test_workers_match_sequential(trained):

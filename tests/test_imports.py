@@ -1,5 +1,5 @@
 """No module under src/ imports a name it never uses, or a private name of
-another module."""
+another module, and one function opens every process pool."""
 
 import ast
 from pathlib import Path
@@ -96,3 +96,55 @@ def test_private_names_of_siblings_finds_cross_module_reads(source, private):
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_reads_a_private_name_of_another(path):
     assert private_names_of_siblings(path.read_text(encoding="utf-8")) == []
+
+
+def process_pool_sites(source: str) -> list:
+    """``"<line>: <function>"`` for every read of ``ProcessPoolExecutor`` in
+    ``source``, as an attribute (``concurrent.futures.ProcessPoolExecutor``),
+    a name or an imported name, with the innermost function around it
+    (``<module>`` outside any)."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name
+            elif (
+                (isinstance(child, ast.Attribute) and child.attr == "ProcessPoolExecutor")
+                or (isinstance(child, ast.Name) and child.id == "ProcessPoolExecutor")
+                or (
+                    isinstance(child, ast.ImportFrom)
+                    and any(alias.name == "ProcessPoolExecutor" for alias in child.names)
+                )
+            ):
+                found.append((child.lineno, where))
+            visit(child, inner)
+
+    visit(ast.parse(source), "<module>")
+    return [f"{line}: {where}" for line, where in sorted(found)]
+
+
+@pytest.mark.parametrize(
+    "source,sites",
+    [
+        ("import concurrent.futures\ndef f():\n    concurrent.futures.ProcessPoolExecutor(2)\n",
+         ["3: f"]),
+        ("from concurrent.futures import ProcessPoolExecutor as P\nP(2)\n", ["1: <module>"]),
+        ("import concurrent.futures as cf\nclass A:\n    def g(self):\n"
+         "        def h():\n            cf.ProcessPoolExecutor()\n", ["5: h"]),
+        ("import concurrent.futures\nconcurrent.futures.ThreadPoolExecutor(2)\n", []),
+    ],
+)
+def test_process_pool_sites_finds_every_read(source, sites):
+    assert process_pool_sites(source) == sites
+
+
+def test_only_pool_map_opens_a_process_pool():
+    # pool_map sizes a pool by its items, so every pool must be its
+    sites = [
+        f"{path.stem}.{site.split(': ')[1]}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for site in process_pool_sites(path.read_text(encoding="utf-8"))
+    ]
+    assert sites == ["harness.pool_map"]

@@ -385,13 +385,14 @@ def test_load_reads_integers_in_float_fields_as_floats(tmp_path):
     assert [type(v) for v in (loaded.params.p1, loaded.features.beta1, loaded.alpha)] == [float] * 3
 
 
-def test_run_predictive_budget_accounting():
+def test_run_predictive_budget_accounting(monkeypatch):
     store, _, _ = synthetic_store()
     instance = make_instance(ObjectiveSpec("ackley", 2), 9)
+    monkeypatch.setattr(RunKey, "instance", lambda key: instance)
     budget, sigma = 2000, 400
     model, table = recommendation_table(store, kappa=2)
     trace, score, record = run_predictive(
-        instance, model, table, sigma=sigma, budget=budget, seed=3
+        RunKey("ackley", 2, 9, 3), model, table, sigma=sigma, budget=budget, seed=3
     )
     assert instance.eval_counter <= budget
     optimizer_evals = instance.eval_counter - sigma
@@ -403,22 +404,22 @@ def test_run_predictive_budget_accounting():
 
 def test_run_predictive_uses_fresh_features():
     store, _, _ = synthetic_store()
-    instance = make_instance(ObjectiveSpec("ackley", 2), 9)
     model, table = recommendation_table(store, kappa=2)
-    _, _, record = run_predictive(
-        instance, model, table, sigma=300, budget=1500, seed=5
-    )
+    key = RunKey("ackley", 2, 9, 7)
+    _, _, record = run_predictive(key, model, table, sigma=300, budget=1500, seed=5)
     fresh = extract_features(make_instance(ObjectiveSpec("ackley", 2), 9), 300, 5)
     assert record.features == fresh
     assert record.params == recommend(model, table, fresh)[0]
+    # the key's run seed names the run; the stream seed is the caller's
+    assert record.key == key
+    assert type(record.key) is RunKey
 
 
 def test_run_predictive_validates_budget():
     store, _, _ = synthetic_store()
-    instance = make_instance(ObjectiveSpec("sphere", 2), 1)
     model, table = recommendation_table(store, kappa=1)
     with pytest.raises(ContractError):
-        run_predictive(instance, model, table, sigma=500, budget=500, seed=0)
+        run_predictive(RunKey("sphere", 2, 1, 0), model, table, sigma=500, budget=500, seed=0)
 
 
 def test_recommendation_table_covers_all_clusters():
