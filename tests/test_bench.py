@@ -7,10 +7,10 @@ import pytest
 from tuneseer import bench
 from tuneseer.bench import (
     HOLDOUT_PRESET,
-    HOLDOUT_VALUE_OFFSET,
     REGISTRY,
     SUITES,
     TRAINING_PRESET,
+    VALUE_FLOOR,
     ObjectiveSpec,
     make_instance,
     suite,
@@ -29,14 +29,14 @@ def test_known_values_identity():
     sphere = make_instance(ObjectiveSpec("sphere", 3), 0)
     assert sphere.evaluate_batch([[1.0, 1.0, 1.0]])[0] == 3.0
     rastrigin = make_instance(ObjectiveSpec("rastrigin", 4), 0)
-    assert rastrigin.evaluate_batch(np.zeros((1, 4)))[0] == 0.0
+    assert rastrigin.evaluate_batch(np.zeros((1, 4)))[0] == VALUE_FLOOR
     rosenbrock = make_instance(ObjectiveSpec("rosenbrock", 2), 0)
-    assert rosenbrock.evaluate_batch([[1.0, 1.0]])[0] == 0.0
+    assert rosenbrock.evaluate_batch([[1.0, 1.0]])[0] == VALUE_FLOOR
 
 
 def test_shifted_instance_attains_optimum_at_shift():
     inst = make_instance(ObjectiveSpec("sphere", 3), 7)
-    assert inst.evaluate_batch(inst.shift[None])[0] == 0.0
+    assert inst.evaluate_batch(inst.shift[None])[0] == VALUE_FLOOR
 
 
 def test_instances_are_deterministic():
@@ -116,6 +116,42 @@ def test_optimum_value_attained(fid):
         inst = make_instance(ObjectiveSpec(fid, 5), seed)
         location = inst.shift + inst.rotation.T @ _base_optimum(fid, 5)
         assert abs(inst.evaluate_batch(location[None])[0]) < 1e-9
+
+
+def _near_optimum(inst, fid, rng):
+    """The instance's optimum location, then 20,000 points within 1e-9 of
+    it: where a cancellation can leave a base value below 0."""
+    d = inst.dim
+    location = inst.shift + inst.rotation.T @ _base_optimum(fid, d)
+    return np.vstack([location, location + rng.uniform(-1e-9, 1e-9, (20_000, d))])
+
+
+@pytest.mark.parametrize("fid", sorted(REGISTRY))
+def test_no_value_below_the_floor(fid):
+    # without the clamp, Schwefel reads down to about -1.2e-12 near its
+    # optimum at D = 20; without the floor, most training functions read
+    # exactly 0 at their optimum
+    rng = np.random.default_rng(4)
+    for d in (2, 10, 20):
+        for seed in (0, 1):
+            inst = make_instance(ObjectiveSpec(fid, d), seed)
+            vals = inst.evaluate_batch(_near_optimum(inst, fid, rng))
+            assert vals.min() >= VALUE_FLOOR, (d, seed, vals.min())
+
+
+@pytest.mark.parametrize("fid", sorted(HOLDOUT_PRESET))
+def test_holdout_values_keep_their_bits(fid):
+    # no held-out base value is below 0, so the clamp changes none of them:
+    # each is its base value plus the floor, bit for bit
+    rng = np.random.default_rng(5)
+    for d in (2, 10, 20):
+        for seed in (101, 102):
+            inst = make_instance(ObjectiveSpec(fid, d), seed)
+            in_box = rng.uniform(-5.0, 5.0, size=(500, d))
+            for points in (in_box, _near_optimum(inst, fid, rng)):
+                z = (points - inst.shift) @ inst.rotation.T
+                want = REGISTRY[fid](z) + VALUE_FLOOR
+                assert np.array_equal(inst.evaluate_batch(points), want), (d, seed)
 
 
 @pytest.mark.parametrize("fid", sorted(REGISTRY))
@@ -202,7 +238,7 @@ def test_step_function_plateau():
     assert inst.evaluate_batch([[0.2001, -0.3, 0.49]])[0] == pytest.approx(0.2001e-5)
     # off the plateau the rounded quadratic dominates
     assert inst.evaluate_batch([[0.9, 0.0, 0.0]])[0] == pytest.approx(0.1, abs=1e-5)
-    assert inst.evaluate_batch([[0.0, 0.0, 0.0]])[0] == 0.0
+    assert inst.evaluate_batch([[0.0, 0.0, 0.0]])[0] == VALUE_FLOOR
 
 
 def unblocked_weierstrass(z):
@@ -239,7 +275,7 @@ def test_rotated_weierstrass_batches_match_unblocked_reference(d):
         for n in (1, block_rows(d), block_rows(d) + 1, 1000):
             points = rng.uniform(-5.0, 5.0, size=(n, d))
             z = (points - inst.shift) @ inst.rotation.T
-            want = unblocked_weierstrass(z) + HOLDOUT_VALUE_OFFSET
+            want = unblocked_weierstrass(z) + VALUE_FLOOR
             assert np.array_equal(inst.evaluate_batch(points), want)
 
 

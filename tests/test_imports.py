@@ -1,5 +1,6 @@
 """No module under src/ imports a name it never uses, or a private name of
-another module, and one function opens every process pool."""
+another module; one function opens every process pool, and one reads the
+objective value floor."""
 
 import ast
 from pathlib import Path
@@ -98,31 +99,44 @@ def test_no_module_reads_a_private_name_of_another(path):
     assert private_names_of_siblings(path.read_text(encoding="utf-8")) == []
 
 
-def process_pool_sites(source: str) -> list:
-    """``"<line>: <function>"`` for every read of ``ProcessPoolExecutor`` in
-    ``source``, as an attribute (``concurrent.futures.ProcessPoolExecutor``),
-    a name or an imported name, with the innermost function around it
-    (``<module>`` outside any)."""
+def read_sites(source: str, name: str) -> list:
+    """``"<line>: <scope>"`` for every read of ``name`` in ``source``, as an
+    attribute (``concurrent.futures.ProcessPoolExecutor``), a name or an
+    imported name, with the classes and functions around it joined by dots
+    (``<module>`` outside any).  Assigning the name is not a read."""
     found = []
 
-    def visit(node, where):
+    def visit(node, scope):
         for child in ast.iter_child_nodes(node):
-            inner = where
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                inner = child.name
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = (*scope, child.name)
             elif (
-                (isinstance(child, ast.Attribute) and child.attr == "ProcessPoolExecutor")
-                or (isinstance(child, ast.Name) and child.id == "ProcessPoolExecutor")
+                (isinstance(child, ast.Attribute) and child.attr == name)
+                or (
+                    isinstance(child, ast.Name)
+                    and child.id == name
+                    and isinstance(child.ctx, ast.Load)
+                )
                 or (
                     isinstance(child, ast.ImportFrom)
-                    and any(alias.name == "ProcessPoolExecutor" for alias in child.names)
+                    and any(alias.name == name for alias in child.names)
                 )
             ):
-                found.append((child.lineno, where))
+                found.append((child.lineno, ".".join(scope) or "<module>"))
             visit(child, inner)
 
-    visit(ast.parse(source), "<module>")
+    visit(ast.parse(source), ())
     return [f"{line}: {where}" for line, where in sorted(found)]
+
+
+def package_read_sites(name: str) -> list:
+    """``<module>.<scope>`` for every read of ``name`` under src/."""
+    return [
+        f"{path.stem}.{site.split(': ')[1]}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for site in read_sites(path.read_text(encoding="utf-8"), name)
+    ]
 
 
 @pytest.mark.parametrize(
@@ -132,19 +146,33 @@ def process_pool_sites(source: str) -> list:
          ["3: f"]),
         ("from concurrent.futures import ProcessPoolExecutor as P\nP(2)\n", ["1: <module>"]),
         ("import concurrent.futures as cf\nclass A:\n    def g(self):\n"
-         "        def h():\n            cf.ProcessPoolExecutor()\n", ["5: h"]),
+         "        def h():\n            cf.ProcessPoolExecutor()\n", ["5: A.g.h"]),
         ("import concurrent.futures\nconcurrent.futures.ThreadPoolExecutor(2)\n", []),
     ],
 )
 def test_process_pool_sites_finds_every_read(source, sites):
-    assert process_pool_sites(source) == sites
+    assert read_sites(source, "ProcessPoolExecutor") == sites
 
 
 def test_only_pool_map_opens_a_process_pool():
     # pool_map sizes a pool by its items, so every pool must be its
-    sites = [
-        f"{path.stem}.{site.split(': ')[1]}"
-        for path in sorted(PACKAGE.glob("*.py"))
-        for site in process_pool_sites(path.read_text(encoding="utf-8"))
-    ]
-    assert sites == ["harness.pool_map"]
+    assert package_read_sites("ProcessPoolExecutor") == ["harness.pool_map"]
+
+
+@pytest.mark.parametrize(
+    "source,sites",
+    [
+        ("VALUE_FLOOR = 1e-300\nclass O:\n    def e(self, v):\n"
+         "        return v + VALUE_FLOOR\n", ["4: O.e"]),
+        ("from .bench import VALUE_FLOOR\n", ["1: <module>"]),
+        ("from . import bench\ndef f():\n    return bench.VALUE_FLOOR\n", ["3: f"]),
+        ("VALUE_FLOOR = 1e-300\n", []),
+    ],
+)
+def test_value_floor_sites_finds_every_read(source, sites):
+    assert read_sites(source, "VALUE_FLOOR") == sites
+
+
+def test_only_evaluate_batch_reads_the_value_floor():
+    # one floor for every objective value: no suite or score gets its own
+    assert package_read_sites("VALUE_FLOOR") == ["bench.ObjectiveInstance.evaluate_batch"]
