@@ -144,7 +144,10 @@ class TrainingStore:
         self.records.extend(batch)
 
     def features_array(self) -> np.ndarray:
-        return np.array([r.features.as_array() for r in self.records])
+        """The (n, 3) matrix of the records' features, in record order."""
+        return np.array(
+            [(r.features.beta1, r.features.beta2, r.features.beta3) for r in self.records]
+        )
 
     def best_record(self) -> TrainingRecord:
         if not self.records:

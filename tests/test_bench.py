@@ -1,5 +1,7 @@
 import json
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -241,16 +243,31 @@ def test_step_function_plateau():
     assert inst.evaluate_batch([[0.0, 0.0, 0.0]])[0] == VALUE_FLOOR
 
 
-def unblocked_weierstrass(z):
-    """The whole-batch evaluation: one (n, D, 21) term table."""
-    a, b = bench._WEIERSTRASS_A, bench._WEIERSTRASS_B
-    terms = a * np.cos(b * (z[..., None] + 0.5))
-    f0 = float(np.sum(a * np.cos(b * 0.5)))
-    return np.sum(terms, axis=(1, 2)) - z.shape[1] * f0
+def exact_weierstrass_term(x):
+    """sum_k a^k cos(2 pi 3^k (x + 0.5)) + (2 - 2^-20) for one coordinate.
+    r = 3^k (x + 0.5) mod 1 is reduced exactly; since 3^k is odd, each term
+    plus a^k is a^k (1 + cos(2 pi r)) = a^k 2 sin^2(pi |r - 1/2|), which
+    keeps its relative precision near an optimum, where r is near 1/2.  Each
+    term is rounded once and the terms are summed exactly."""
+    terms = []
+    for k in range(21):
+        r = (3**k * (Fraction(x) + Fraction(1, 2))) % 1
+        terms.append(math.ldexp(math.sin(math.pi * float(abs(r - Fraction(1, 2)))) ** 2, 1 - k))
+    return math.fsum(terms)
+
+
+def exact_weierstrass(z):
+    return np.array([math.fsum(exact_weierstrass_term(x) for x in row) for row in z])
 
 
 def block_rows(d):
-    return max(1, bench._WEIERSTRASS_BLOCK // (d * bench._WEIERSTRASS_K.size))
+    return max(1, bench._WEIERSTRASS_BLOCK // d)
+
+
+def unblocked_weierstrass(z):
+    """``bench._weierstrass`` on pieces of 97 rows, each of which fits in one
+    block, so no evaluation meets a block boundary."""
+    return np.concatenate([bench._weierstrass(z[s : s + 97]) for s in range(0, len(z), 97)])
 
 
 def boundary_sizes(d):
@@ -260,15 +277,23 @@ def boundary_sizes(d):
 
 @pytest.mark.parametrize("d", [2, 3, 10, 20, 50])
 def test_weierstrass_blocks_match_unblocked_reference(d):
+    # every row equals that row evaluated alone, checked at the block edges
+    # and at 40 random rows, and the whole batch equals its 97-row pieces
     rng = np.random.default_rng(d)
-    sizes = boundary_sizes(d) + rng.integers(1, 3000, size=4).tolist()
-    for n in sizes:
+    rows = block_rows(d)
+    for n in boundary_sizes(d):
         z = rng.uniform(-40.0, 40.0, size=(n, d))
-        assert np.array_equal(bench._weierstrass(z), unblocked_weierstrass(z)), n
+        out = bench._weierstrass(z)
+        edges = {0, rows - 1, rows, 2 * rows - 1, 2 * rows, n - 1} & set(range(n))
+        for i in edges | set(rng.choice(n, size=min(n, 40), replace=False).tolist()):
+            assert out[i] == bench._weierstrass(z[i : i + 1])[0], (n, i)
+        assert np.array_equal(out, unblocked_weierstrass(z)), n
 
 
 @pytest.mark.parametrize("d", [2, 3, 10, 20, 50])
 def test_rotated_weierstrass_batches_match_unblocked_reference(d):
+    # the rotation's matmul is not row-independent, so the reference starts
+    # from the z the instance computes
     rng = np.random.default_rng(100 + d)
     for seed in (1, 2):
         inst = make_instance(ObjectiveSpec("weierstrass", d), seed)
@@ -279,8 +304,67 @@ def test_rotated_weierstrass_batches_match_unblocked_reference(d):
             assert np.array_equal(inst.evaluate_batch(points), want)
 
 
+# (offset, half-width, relative bound): uniform |z| <= 40; within 1e-4 of an
+# integer, where every optimum is; within 1e-4 of a half-integer, where a
+# term has its maximum and the tripling loses the most.  The bounds are about
+# three times the largest relative errors measured over 100,000 coordinates
+# and over 3,000 per scale from 1e-14 to 1e-4: 3.2e-8, 3.6e-11 and 7.3e-6.
+WEIERSTRASS_REGIONS = {
+    "uniform": (None, 40.0, 1e-7),
+    "near-integer": (0.0, 1e-4, 1e-10),
+    "near-half-integer": (0.5, 1e-4, 2e-5),
+}
+
+
+@pytest.mark.parametrize("region", WEIERSTRASS_REGIONS)
+@pytest.mark.parametrize("d", [2, 10, 20, 50])
+def test_weierstrass_matches_an_exact_reference(d, region):
+    offset, width, bound = WEIERSTRASS_REGIONS[region]
+    rng = np.random.default_rng(200 + d)
+    shape = (max(10, 2000 // d), d)
+    if offset is None:
+        z = rng.uniform(-width, width, size=shape)
+    else:
+        # half-widths from 1e-14 up to ``width``, one per column
+        scales = width * 10.0 ** -rng.uniform(0.0, 10.0, size=d)
+        z = rng.integers(-5, 5, size=shape) + offset + scales * rng.uniform(-1.0, 1.0, size=shape)
+    want = exact_weierstrass(z)
+    assert np.all(np.abs(bench._weierstrass(z) - want) <= bound * want)
+
+
+def test_weierstrass_reads_exact_zero_on_integer_points():
+    z = np.random.default_rng(0).integers(-5, 6, size=(100, 7)).astype(float)
+    assert np.all(bench._weierstrass(z) == 0.0)
+
+
+@pytest.mark.parametrize("d", [2, 10, 20, 50])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_weierstrass_optimum_reads_the_floor(d, seed):
+    inst = make_instance(ObjectiveSpec("weierstrass", d), seed)
+    assert inst.evaluate_batch(inst.shift[None])[0] == VALUE_FLOOR
+
+
+@pytest.mark.parametrize("n,d", [(1, 2), (20, 2), (200, 20), (5000, 50)])
+def test_weierstrass_takes_one_sine_per_coordinate(monkeypatch, n, d):
+    calls = {"sin": 0, "cos": 0}
+
+    def counted(name):
+        original = getattr(np, name)
+
+        def fn(x, *args, **kwargs):
+            calls[name] += np.size(x)
+            return original(x, *args, **kwargs)
+
+        return fn
+
+    for name in calls:
+        monkeypatch.setattr(np, name, counted(name))
+    bench._weierstrass(np.random.default_rng(n).uniform(-5.0, 5.0, size=(n, d)))
+    assert calls == {"sin": n * d, "cos": 0}
+
+
 def test_weierstrass_memory_is_bounded():
-    # the whole-batch table of a (4000, 50) batch is 34 MB per temporary
+    # unblocked, each (4000, 50) temporary would take 1.6 MB, and three live at once
     z = np.random.default_rng(0).uniform(-5.0, 5.0, size=(4000, 50))
     tracemalloc.start()
     try:

@@ -483,3 +483,12 @@ def test_recommendation_table_empty_cluster_falls_back_to_store(monkeypatch):
         everyone
     )
     assert (table[0].p1, table[0].p2, table[0].p3) == bruteforce_recommendation(low)
+
+
+def test_features_array_keeps_the_bits_of_each_record():
+    store = random_store(np.random.default_rng(900), 898)
+    store.append([rec(0.3, 0.6, 30, (-0.0, 5e-324, 1e308), 1.0), rec(0.3, 0.6, 30, (2, 1, 0), 1.0)])
+    got = store.features_array()
+    want = np.array([r.features.as_array() for r in store.records])
+    assert got.shape == (900, 3) and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
