@@ -16,11 +16,12 @@ coordinate.
 
 The fixed-parameter optimizer and the adaptive baseline share the generation
 kernel ``evolve``; they differ only in how per-individual (CR, F) pairs are
-sampled each generation.  The kernel's observer sees each generation's
-``GenerationStats`` once its trials are evaluated, before selection, and
-draws nothing from the run's generator.  Per generation, draws are consumed
-in a fixed order: (CR, F) sampler, greediness q, one bounded-integer draw
-(pbest rank, r1, r2, forced coordinate), crossover mask, archive evictions.
+sampled each generation and in the optional ``update`` callback.  It gets
+the (CR, F) pairs and improvements of each generation's strictly improving
+trials once they are evaluated, before selection, and draws nothing from
+the run's generator.  Per generation, draws are consumed in a fixed order:
+(CR, F) sampler, greediness q, one bounded-integer draw (pbest rank, r1, r2,
+forced coordinate), crossover mask, archive evictions.
 
 Archive layout.  Population and archive share one preallocated (2 pop, D)
 buffer: rows [0, pop) are the population and the next n_arch rows the
@@ -82,17 +83,6 @@ class RunTrace:
         return self.generations[-1][1]
 
 
-@dataclass(frozen=True)
-class GenerationStats:
-    """Passed to the kernel observer once a generation's trials are
-    evaluated, before selection."""
-
-    cr: np.ndarray
-    f: np.ndarray
-    successes: np.ndarray  # trial < target (strict improvement)
-    deltas: np.ndarray  # target value - trial value, per individual
-
-
 def init_population(instance, pop_size: int, rng: np.random.Generator):
     """Uniform population over the instance domain; evaluates all members
     (charges pop_size evaluations).  Returns (points, values)."""
@@ -109,15 +99,18 @@ def evolve(
     budget: int,
     rng: np.random.Generator,
     sample_cr_f: Callable[[np.random.Generator], tuple[np.ndarray, np.ndarray]],
-    observer: Optional[Callable[[GenerationStats], None]] = None,
+    update: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], None]] = None,
 ) -> RunTrace:
     """Run the generation kernel until the next generation would exceed
     ``budget`` optimizer-owned evaluations.  A run whose first generation
     has no score (``metric.unscorable``) stops after that generation.
 
     ``sample_cr_f(rng)`` returns this generation's per-individual crossover
-    probabilities and weights.  ``observer`` (if given) sees each
-    generation's stats once its trials are evaluated, before selection.
+    probabilities and weights.  ``update(cr, f, deltas)`` (if given) is
+    called once per generation, after its trials are evaluated and before
+    selection, with the CR and F of the strictly improving trials and their
+    improvements (target value - trial value); a generation without one
+    passes empty arrays.
     """
     if budget < pop_size:
         raise ContractError(
@@ -172,9 +165,10 @@ def evolve(
         tvals = instance.evaluate_batch(trials)
         used += pop_size
 
+        if update is not None:  # before selection overwrites fvals
+            won = tvals < fvals
+            update(cr[won], f[won], (fvals - tvals)[won])
         improved = tvals <= fvals
-        if observer is not None:  # before selection overwrites fvals
-            observer(GenerationStats(cr=cr, f=f, successes=tvals < fvals, deltas=fvals - tvals))
 
         # buffer rows of the archive after appending every winner's parent
         rows = list(range(pop_size, pop_size + n_arch))

@@ -617,6 +617,8 @@ def cmd_recommend(
     instance = None
     if beta is None and None not in (function_id, dim):
         instance = make_instance(ObjectiveSpec(function_id, dim), instance_seed or 0)
+        sigma = CampaignConfig.sigma if sigma is None else sigma
+        _require_at_least("sigma", sigma, 2)
     elif beta is None or (function_id, dim) != (None, None):
         raise ContractError("recommend needs --beta or --function/--dim, not both")
     elif given:
@@ -627,7 +629,6 @@ def cmd_recommend(
     if instance is None:
         beta_vec = FeatureVector(*[float(b) for b in beta])
     else:
-        sigma = CampaignConfig.sigma if sigma is None else sigma
         beta_vec = extract_features(instance, sigma, seed or 0)
     params, cluster_idx = predictor.recommend(model, table, beta_vec)
     result = {**vars(params), "cluster": cluster_idx, **vars(beta_vec)}

@@ -26,11 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Optional
 
 import numpy as np
 
-from .de import GenerationStats, RunTrace, evolve
+from .de import RunTrace, evolve
 from .sampling import substream
 
 POP_SIZE = 100
@@ -80,26 +79,13 @@ def sample_memory_params(
     return cr, np.minimum(f, 1.0)
 
 
-def optimize_shade(
-    instance,
-    budget: int,
-    seed: int,
-    observer: Optional[Callable[[GenerationStats, ShadeMemory], None]] = None,
-) -> RunTrace:
+def optimize_shade(instance, budget: int, seed: int) -> RunTrace:
     """Adaptive run of ``POP_SIZE`` individuals and at most ``budget``
     evaluations from stream ``seed``; trace contract as the fixed engine's.
 
-    ``observer`` sees each generation's selection stats and the memory
-    state after any update.
+    The kernel calls the run's ``ShadeMemory.update`` once per generation.
     """
     rng = substream(seed, "de")
     memory = ShadeMemory()
-
-    def on_generation(stats: GenerationStats) -> None:
-        sel = stats.successes
-        memory.update(stats.cr[sel], stats.f[sel], stats.deltas[sel])
-        if observer is not None:
-            observer(stats, memory)
-
     sampler = partial(sample_memory_params, memory)
-    return evolve(instance, POP_SIZE, budget, rng, sampler, on_generation)
+    return evolve(instance, POP_SIZE, budget, rng, sampler, memory.update)

@@ -155,7 +155,7 @@ def test_criterion_4_de_kernel():
 # -- 5 ----------------------------------------------------------------------
 
 
-def test_criterion_5_shade_memory():
+def test_criterion_5_shade_memory(monkeypatch):
     memory = ShadeMemory(m_cr=np.full(3, 0.5), m_f=np.full(3, 0.5))
     memory.update(np.array([0.4]), np.array([0.6]), np.array([2.0]))
     assert memory.m_cr[0] == 0.4 and memory.m_f[0] == 0.6
@@ -175,12 +175,14 @@ def test_criterion_5_shade_memory():
             return np.sum(s * s, axis=1)
 
     log = []
-    optimize_shade(
-        Plateau(),
-        3000,
-        4,
-        observer=lambda st, m: log.append((bool(st.successes.any()), copy.deepcopy(m))),
-    )
+    update = ShadeMemory.update
+
+    def logged_update(self, s_cr, s_f, deltas):
+        update(self, s_cr, s_f, deltas)
+        log.append((s_cr.size > 0, copy.deepcopy(self)))
+
+    monkeypatch.setattr(ShadeMemory, "update", logged_update)
+    optimize_shade(Plateau(), 3000, 4)
     stalled = sum(1 for ok_, _ in log if not ok_)
     assert stalled >= 1
     prev = None

@@ -221,6 +221,12 @@ def test_fit_validates_k():
         fit(two_triads(), 0)
 
 
+def test_fit_needs_a_non_empty_two_dimensional_array():
+    for points in (np.empty((0, 3)), np.array([1.0, 2.0, 3.0])):
+        with pytest.raises(ContractError, match="fit needs a non-empty"):
+            fit(points, 1)
+
+
 def test_json_round_trip():
     model = fit(two_triads(), 2, seed=4)
     clone = ClusterModel.from_json(model.to_json())

@@ -60,6 +60,14 @@ def test_budget_below_population_rejected():
         optimize(instance, ControlParams(0.9, 0.5, 50), 49, 0)
 
 
+def test_evolve_rejects_a_population_below_the_minimum():
+    instance = make_instance(ObjectiveSpec("sphere", 3), 0)
+    fixed = (np.full(4, 0.9), np.full(4, 0.5))
+    with pytest.raises(ContractError, match="population size must be >= 5, got 4"):
+        de.evolve(instance, 4, 40, substream(0, "de"), lambda rng: fixed)
+    assert instance.eval_counter == 0
+
+
 def test_init_population_counts_and_bounds():
     instance = make_instance(ObjectiveSpec("sphere", 4), 1)
     rng = substream(5, "de")
@@ -178,7 +186,7 @@ def _pick_r2(rng, total, own, r1):
 
 
 def _reference_evolve(
-    instance, pop_size, budget, rng, sample_cr_f, observer=None, evictions=None
+    instance, pop_size, budget, rng, sample_cr_f, update=None, evictions=None
 ):
     """The kernel as it stood with the archive held as a Python list of rows,
     joined to the population by ``np.vstack`` each generation, four separate
@@ -226,7 +234,7 @@ def _reference_evolve(
         used += pop_size
 
         improved = tvals <= fvals
-        successes = tvals < fvals
+        won = tvals < fvals
         deltas = fvals - tvals
 
         for i in np.nonzero(improved)[0]:
@@ -241,10 +249,8 @@ def _reference_evolve(
         fvals[improved] = tvals[improved]
         trace.generations.append((gen, instance.eval_counter, float(fvals.min())))
 
-        if observer is not None:
-            observer(
-                de.GenerationStats(cr=cr, f=f, successes=successes, deltas=deltas)
-            )
+        if update is not None:
+            update(cr[won], f[won], deltas[won])
 
     trace.final_population = pop
     trace.final_values = fvals

@@ -27,8 +27,9 @@ def test_iqr_translation_invariance():
 
 
 def test_iqr_needs_two_values():
-    with pytest.raises(ContractError):
-        iqr([1.0])
+    for stat in (iqr, skew):
+        with pytest.raises(ContractError):
+            stat([1.0])
 
 
 def test_skew_symmetric_is_zero():

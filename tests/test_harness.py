@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tuneseer
-from tuneseer import cli, cluster, harness
+from tuneseer import cli, cluster, harness, predictor
 from tuneseer.bench import ObjectiveInstance, make_instance
 from tuneseer.errors import ContractError
 from tuneseer.features import FeatureVector, extract_features
@@ -743,9 +743,12 @@ def test_cli_config_file_errors_name_the_file(tmp_path, capsys, data, reason):
     assert os.listdir(tmp_path) == ["bad.json"]
 
 
-def test_every_config_key_has_a_checked_type():
-    typed = [k for _, keys in harness._CONFIG_TYPES.values() for k in keys.split()]
-    assert sorted(typed) == sorted(f.name for f in dataclasses.fields(CampaignConfig))
+def test_every_config_key_rejects_a_value_of_no_accepted_type():
+    for key in (f.name for f in dataclasses.fields(CampaignConfig)):
+        config = dataclasses.replace(CampaignConfig(), **{key: object()})
+        with pytest.raises(ContractError) as raised:
+            config.validate()
+        assert str(raised.value).startswith(f"{key} must be "), key
 
 
 def test_cli_import_loads_neither_scipy_nor_multiprocessing():
@@ -1403,6 +1406,23 @@ def test_cli_recommend_rejects_a_dim_below_2(tmp_path, capsys):
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == "error: dim must be >= 2, got 1\n"
     assert os.listdir(tmp_path) == []
+
+
+def test_cli_recommend_rejects_a_sigma_below_2_before_fitting(tmp_path, capsys, monkeypatch):
+    store = tmp_path / "store.jsonl"
+    _write_small_store(store)
+    fits = []
+    fit = predictor.recommendation_table
+
+    def spy(*args, **kwargs):
+        fits.append(args)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(predictor, "recommendation_table", spy)
+    argv = ["recommend", "--store", str(store), "--function", "sphere", "--dim", "2"]
+    assert cli.main([*argv, "--sigma", "1"]) == 1
+    assert capsys.readouterr().err == "error: sigma must be >= 2, got 1\n"
+    assert fits == []
 
 
 def test_recommend_sampling_defaults(tmp_path):

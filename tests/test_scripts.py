@@ -1,11 +1,14 @@
-"""The scripts under scripts/ run against the current API."""
+"""The scripts under scripts/ and README's Python example run against the
+current API."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 from tuneseer import cli
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 TINY_FLAGS = [
     "--dims", "2", "--instances", "1", "--train-seeds", "0,", "--n-param-sets", "2",
@@ -42,3 +45,11 @@ def test_desk_campaign_ends_with_a_failed_steps_exit_code(tmp_path, capsys):
     assert "error: budget 40" in capsys.readouterr().err
     assert not (tmp_path / "desk" / "alpha.csv").exists()
 
+
+
+def test_readme_python_example_runs(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
+    exec(compile(example, "README.md", "exec"), {})
+    best, alpha = map(float, capsys.readouterr().out.split())
+    assert 0.0 < best and alpha > 0.0

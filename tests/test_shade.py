@@ -58,15 +58,25 @@ class _PlateauObjective:
         return np.sum(steps * steps, axis=1)
 
 
-def test_zero_success_generations_freeze_memory_in_full_run():
+def _log_memory_updates(monkeypatch):
+    """Wrap ``ShadeMemory.update`` so that each call, after running, logs
+    (whether any trial succeeded, a copy of the memory)."""
+    log = []
+    original = ShadeMemory.update
+
+    def update(self, s_cr, s_f, deltas):
+        original(self, s_cr, s_f, deltas)
+        log.append((s_cr.size > 0, copy.deepcopy(self)))
+
+    monkeypatch.setattr(ShadeMemory, "update", update)
+    return log
+
+
+def test_zero_success_generations_freeze_memory_in_full_run(monkeypatch):
     # the plateau stalls the search, giving generations without strict
     # improvement; memory and index must not move on those
-    log = []
-
-    def observer(stats, memory):
-        log.append((bool(stats.successes.any()), copy.deepcopy(memory)))
-
-    optimize_shade(_PlateauObjective(), 3000, 4, observer=observer)
+    log = _log_memory_updates(monkeypatch)
+    optimize_shade(_PlateauObjective(), 3000, 4)
     assert any(not ok for ok, _ in log), "expected at least one stalled generation"
     prev = None
     for ok, snap in log:
@@ -77,15 +87,11 @@ def test_zero_success_generations_freeze_memory_in_full_run():
         prev = snap
 
 
-def test_memory_bounds_after_run():
+def test_memory_bounds_after_run(monkeypatch):
     instance = make_instance(ObjectiveSpec("rastrigin", 5), 2)
-    final = {}
-
-    def observer(stats, memory):
-        final["memory"] = memory
-
-    optimize_shade(instance, 3000, 8, observer=observer)
-    memory = final["memory"]
+    log = _log_memory_updates(monkeypatch)
+    optimize_shade(instance, 3000, 8)
+    _, memory = log[-1]
     assert np.all(memory.m_cr >= 0.0) and np.all(memory.m_cr <= 1.0)
     assert np.all(memory.m_f > 0.0) and np.all(memory.m_f <= 1.0)
 
@@ -113,17 +119,14 @@ class _FlatObjective(_PlateauObjective):
         return np.zeros(points.shape[0])
 
 
-def test_frozen_memory_equals_shared_kernel_with_sampled_params():
+def test_frozen_memory_equals_shared_kernel_with_sampled_params(monkeypatch):
     # on a flat objective nothing succeeds, so the memory stays at 0.5 and
     # a run must equal the plain kernel driven by the same per-generation
     # (CR, F) sampling from a memory that nothing updates
     seed, budget = 21, 700
-    snaps = []
-
-    def keep(stats, memory):
-        snaps.append(copy.deepcopy(memory))
-
-    a = optimize_shade(_FlatObjective(4), budget, seed, observer=keep)
+    log = _log_memory_updates(monkeypatch)
+    a = optimize_shade(_FlatObjective(4), budget, seed)
+    snaps = [snap for _, snap in log]
 
     memory = ShadeMemory()
     rng = substream(seed, "de")
@@ -140,17 +143,14 @@ def test_frozen_memory_equals_shared_kernel_with_sampled_params():
     )
 
 
-def test_shade_equals_shared_kernel_with_memory_observer():
-    # a run must equal the plain kernel driven by memory sampling and an
-    # observer that folds each generation's successes into the memory
+def test_shade_equals_shared_kernel_with_memory_update(monkeypatch):
+    # a run must equal the plain kernel driven by memory sampling and by
+    # the memory's own update, which folds each generation's successes in
     spec = ObjectiveSpec("rosenbrock", 4)
     seed, budget = 21, 700
-    final = {}
-
-    def keep(stats, memory):
-        final["memory"] = copy.deepcopy(memory)
-
-    a = optimize_shade(make_instance(spec, 5), budget, seed, observer=keep)
+    log = _log_memory_updates(monkeypatch)
+    a = optimize_shade(make_instance(spec, 5), budget, seed)
+    _, final = log[-1]
 
     memory = ShadeMemory()
     rng = substream(seed, "de")
@@ -158,17 +158,15 @@ def test_shade_equals_shared_kernel_with_memory_observer():
     def sampler(r):
         return sample_memory_params(memory, r)
 
-    def update(stats):
-        sel = stats.successes
-        memory.update(stats.cr[sel], stats.f[sel], stats.deltas[sel])
-
-    b = de.evolve(make_instance(spec, 5), shade.POP_SIZE, budget, rng, sampler, update)
+    b = de.evolve(
+        make_instance(spec, 5), shade.POP_SIZE, budget, rng, sampler, memory.update
+    )
     assert a.generations == b.generations
     assert np.array_equal(a.final_population, b.final_population)
     assert memory.write_index > 0  # the memory moved
-    assert np.array_equal(final["memory"].m_cr, memory.m_cr)
-    assert np.array_equal(final["memory"].m_f, memory.m_f)
-    assert final["memory"].write_index == memory.write_index
+    assert np.array_equal(final.m_cr, memory.m_cr)
+    assert np.array_equal(final.m_f, memory.m_f)
+    assert final.write_index == memory.write_index
 
 
 def test_deterministic_runs():
