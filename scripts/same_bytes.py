@@ -2,8 +2,10 @@
 """Check that this checkout's tuneseer writes the same bytes as another
 source tree.
 
-Runs `train`, `compare` in both retrain modes, `features`, `report` on
-both compare directories and `recommend` with `--beta` and with
+Runs `train`, `compare` in both retrain modes and once more per batch with
+`--paper-instances`, `features` with and without `--no-feature-scaling`,
+`report` on the two default compare directories, and `recommend` with
+`--beta` (with and without `--no-feature-scaling`) and with
 `--function/--dim` through `python -m tuneseer.cli`, once with
 PYTHONPATH=BASE_SRC and once with this checkout's src/, each side in its
 own temporary directory.  Each step's stdout is kept as
@@ -79,15 +81,23 @@ def commands(scale: dict, workers: int) -> list:
             (f"compare-{mode}", [*compare, "--retrain", mode, "--out", f"compare-{mode}"])
             for mode in ("per-run", "per-batch")
         ),
-        ("features", [
-            "features", "--suite", "training", "--seeds", "0,",
-            "--sigma", scale["feature_sigmas"], *common, "--out", "features",
+        ("compare-paper-instances", [
+            *compare, "--retrain", "per-batch", "--paper-instances",
+            "--out", "compare-paper-instances",
         ]),
+        *(
+            (step, [
+                "features", "--suite", "training", "--seeds", "0,",
+                "--sigma", scale["feature_sigmas"], *common, *flags, "--out", step,
+            ])
+            for step, flags in (("features", []), ("features-unscaled", ["--no-feature-scaling"]))
+        ),
         *(
             (f"report-{mode}", ["report", "--out", f"compare-{mode}"])
             for mode in ("per-run", "per-batch")
         ),
         ("recommend-beta", [*recommend, "--beta", "10,1.3,0.2"]),
+        ("recommend-beta-unscaled", [*recommend, "--beta", "10,1.3,0.2", "--no-feature-scaling"]),
         ("recommend-function", [
             *recommend, "--function", "rastrigin", "--dim", scale["dims"].split(",")[0],
             "--sigma", scale["sigma"], "--seed", "1",

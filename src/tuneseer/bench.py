@@ -304,7 +304,6 @@ class ObjectiveInstance:
     """
 
     spec: ObjectiveSpec
-    instance_seed: int
     shift: np.ndarray
     rotation: np.ndarray
     eval_counter: int = 0
@@ -343,9 +342,7 @@ def make_instance(spec: ObjectiveSpec, instance_seed: int) -> ObjectiveInstance:
         half_width = SHIFT_FRACTION * DOMAIN_BOUND
         shift = rng.uniform(-half_width, half_width, size=d)
         rotation = random_rotation(rng, d)
-    return ObjectiveInstance(
-        spec=spec, instance_seed=instance_seed, shift=shift, rotation=rotation
-    )
+    return ObjectiveInstance(spec=spec, shift=shift, rotation=rotation)
 
 
 def suite(name: str, dims) -> list[ObjectiveSpec]:

@@ -3,9 +3,10 @@
 A function is characterised by three numbers: its dimension, and the
 interquartile range and skewness of its z-scored sample values.  The IQR
 flags near-flat topology; the skew captures value asymmetry (sharp optima,
-heavy tails).  ``extract_features(instance, sigma, seed)`` draws the sample
-and alone checks that sigma >= 2.  Sampling cost is charged to the
-instance's evaluation counter, so downstream performance accounting sees it.
+heavy tails).  ``extract_features(instance, sigma, seed)`` draws the sample;
+it, ``CampaignConfig.validate`` and ``cmd_recommend`` each reject a sigma
+below 2.  Sampling cost is charged to the instance's evaluation counter, so
+downstream performance accounting sees it.
 """
 
 from __future__ import annotations

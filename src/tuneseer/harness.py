@@ -2,7 +2,7 @@
 tables, and report emission.  Every command's runs are listed and seeded
 here; ``train`` and ``compare`` send theirs through one process pool,
 ``pool_map``, one run per task and no more workers than tasks, and
-``features`` extracts its features serially.
+``features`` extracts its features through ``pool_map``.
 
 Outputs under the campaign directory:
 
@@ -182,15 +182,17 @@ class CampaignConfig:
             raise ContractError(f"{path}: unknown config keys: {sorted(unknown)}")
         return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
 
-    def suite_specs(self) -> list[ObjectiveSpec]:
-        return suite(self.suite, self.dims)
-
     def train_instance_seeds(self) -> tuple:
         return tuple(range(1, self.instances + 1))
 
     def compare_instance_seeds(self) -> tuple:
         if self.paper_instances:
             return self.train_instance_seeds()
+        if self.instances > COMPARE_INSTANCE_OFFSET:
+            raise ContractError(
+                f"instances must be <= {COMPARE_INSTANCE_OFFSET} unless paper_instances "
+                f"is set, or held-out instance seeds repeat training ones; got {self.instances}"
+            )
         first = COMPARE_INSTANCE_OFFSET + 1
         return tuple(range(first, first + self.instances))
 
@@ -320,7 +322,7 @@ def cmd_train(config: CampaignConfig) -> str:
     # the store's directory first: a save that fails would lose every run
     for directory in (config.out, os.path.dirname(path)):
         os.makedirs(directory or ".", exist_ok=True)
-    specs = config.suite_specs()
+    specs = suite(config.suite, config.dims)
     items = []
     for spec in specs:
         design = (spec.function_id, spec.dim)
@@ -410,15 +412,10 @@ def _row_order(row: dict) -> tuple:
 
 @dataclass
 class ComparisonReport:
+    """The rows ``cmd_compare`` wrote to alpha.csv and wilcoxon.csv."""
+
     alpha_rows: list
     wilcoxon_rows: list
-    n_failed: int = 0
-
-    def wilcoxon_for(self, method_a: str, method_b: str):
-        for row in self.wilcoxon_rows:
-            if row["method_a"] == method_a and row["method_b"] == method_b:
-                return row
-        raise KeyError((method_a, method_b))
 
 
 def compute_wilcoxon_rows(alpha_rows: list) -> list:
@@ -491,7 +488,7 @@ def cmd_compare(config: CampaignConfig) -> ComparisonReport:
     _require_one_sigma(config)
     _require_seeds(config.seeds, "seeds")
     predictive = METHOD_PREDICTIVE in config.methods
-    specs = config.suite_specs()
+    specs = suite(config.suite, config.dims)
     store = None
     if predictive or METHOD_BEST in config.methods:
         path = config.resolved_store_path()
@@ -548,11 +545,7 @@ def cmd_compare(config: CampaignConfig) -> ComparisonReport:
     n_failed = sum(1 for row in alpha_rows if row["status"] != "ok")
     if n_failed:
         print(f"WARNING: {n_failed} runs failed; see status column in alpha.csv")
-    return ComparisonReport(
-        alpha_rows=alpha_rows,
-        wilcoxon_rows=wilcoxon_rows,
-        n_failed=n_failed,
-    )
+    return ComparisonReport(alpha_rows, wilcoxon_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -560,19 +553,22 @@ def cmd_compare(config: CampaignConfig) -> ComparisonReport:
 # ---------------------------------------------------------------------------
 
 
+def _sample_features(config: CampaignConfig, sigma: int, key: RunKey) -> FeatureVector:
+    """One test key's features from ``sigma`` samples, seeded by the campaign
+    seed, the key and sigma."""
+    seed = derive_seed(config.campaign_seed, "features-cmd", *key, sigma)
+    return extract_features(key.instance(), sigma, seed)
+
+
 def cmd_features(config: CampaignConfig) -> str:
     """Emit the feature table with cluster assignments (the data behind the
     feature-space scatter)."""
     config.validate()
     _require_seeds(config.seeds, "seeds")
-    sigmas = config.sigmas or (config.sigma,)
-    keys = _test_keys(config, config.suite_specs())
+    keys = _test_keys(config, suite(config.suite, config.dims))
     rows = []
-    for sigma in sigmas:
-        betas = []
-        for key in keys:
-            seed = derive_seed(config.campaign_seed, "features-cmd", *key, sigma)
-            betas.append(extract_features(key.instance(), sigma, seed))
+    for sigma in config.sigmas or (config.sigma,):
+        betas = pool_map(partial(_sample_features, config, sigma), keys, config.workers)
         points = np.array([beta.as_array() for beta in betas])
         model = cluster.fit(
             points, config.kappa, seed=config.campaign_seed, scale=config.feature_scaling

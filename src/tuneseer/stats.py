@@ -43,7 +43,6 @@ class WilcoxonResult:
     p: float
     r_plus: float
     r_minus: float
-    n: int
     method: str  # "exact" | "normal" | "degenerate"
 
 
@@ -80,14 +79,14 @@ def wilcoxon(diffs) -> WilcoxonResult:
     w = r_plus - r_minus
 
     if np.all(d == 0.0):
-        return WilcoxonResult(0.0, 1.0, r_plus, r_minus, n, "degenerate")
+        return WilcoxonResult(0.0, 1.0, r_plus, r_minus, "degenerate")
 
     if n <= EXACT_MAX_N and not np.any(d == 0.0):
         ranks2 = np.rint(2.0 * ranks).astype(np.int64)
         hi2 = int(round(2.0 * max(r_plus, r_minus)))
         lo2 = int(round(2.0 * min(r_plus, r_minus)))
         p = _exact_p(ranks2, hi2, lo2, n)
-        return WilcoxonResult(w, p, r_plus, r_minus, n, "exact")
+        return WilcoxonResult(w, p, r_plus, r_minus, "exact")
 
     mean = n * (n + 1) / 4.0
     var = n * (n + 1) * (2 * n + 1) / 24.0
@@ -98,4 +97,4 @@ def wilcoxon(diffs) -> WilcoxonResult:
     correction = 0.5 * math.copysign(1.0, t - mean) if t != mean else 0.0
     z = (t - mean - correction) / math.sqrt(var)
     p = min(1.0, math.erfc(abs(z) / math.sqrt(2.0)))
-    return WilcoxonResult(w, p, r_plus, r_minus, n, "normal")
+    return WilcoxonResult(w, p, r_plus, r_minus, "normal")

@@ -396,15 +396,16 @@ def desk_campaign(tmp_path_factory):
 @pytest.mark.slow
 def test_criterion_10_end_to_end_direction(desk_campaign):
     out, report = desk_campaign
-    assert report.n_failed == 0
+    assert sum(row["status"] != "ok" for row in report.alpha_rows) == 0
     assert os.path.exists(out / "alpha.csv")
     assert os.path.exists(out / "wilcoxon.csv")
-    versus_best = report.wilcoxon_for("predictive", "best-of-training")
+    pairs = {(row["method_a"], row["method_b"]): row for row in report.wilcoxon_rows}
+    versus_best = pairs["predictive", "best-of-training"]
     print(
         f"ACCEPTANCE 10 (reported, not gated): predictive vs best-of-training "
         f"W={versus_best['W']!r} p={versus_best['p']!r}"
     )
-    row = report.wilcoxon_for("predictive", "literature")
+    row = pairs["predictive", "literature"]
     assert row["n"] == 540
     assert row["p"] is not None
     significant = row["p"] < 0.05

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import tuneseer
 from tuneseer import cli, cluster, harness, predictor
-from tuneseer.bench import ObjectiveInstance, make_instance
+from tuneseer.bench import ObjectiveInstance, make_instance, suite
 from tuneseer.errors import ContractError
 from tuneseer.features import FeatureVector, extract_features
 from tuneseer.harness import (
@@ -193,7 +193,7 @@ def test_failed_runs_are_explicit_rows(trained, monkeypatch):
     assert len(rows) == 6
     assert all(r["status"].startswith("failed") for r in rows)
     assert all(r["alpha"] == "" for r in rows)
-    assert report.n_failed == 6
+    assert sum(r["status"] != "ok" for r in report.alpha_rows) == 6
 
 
 def test_report_reads_back_the_rows_compare_wrote(trained, monkeypatch):
@@ -217,7 +217,7 @@ def test_report_reads_back_the_rows_compare_wrote(trained, monkeypatch):
         methods=harness.METHOD_ORDER,
     )
     report = cmd_compare(config)
-    assert report.n_failed == 1
+    assert sum(r["status"] != "ok" for r in report.alpha_rows) == 1
     path = out / "round-trip" / "alpha.csv"
     rows = harness.read_alpha_csv(str(path))
     assert rows == report.alpha_rows
@@ -248,7 +248,7 @@ def test_nan_objective_runs_are_failed_rows(trained, monkeypatch):
     assert len(rows) == 6
     assert all(r["status"].startswith("failed: cannot score") for r in rows)
     assert all(r["alpha"] == "" for r in rows)
-    assert report.n_failed == 6
+    assert sum(r["status"] != "ok" for r in report.alpha_rows) == 6
     # an unscorable start ends each run after its first generation: 10 D
     assert charged == {r["function_id"]: 10 * 2 for r in rows}
 
@@ -353,7 +353,7 @@ def test_cmd_features(trained):
     want = []
     for sigma in config.sigmas:
         group = []
-        for spec in config.suite_specs():
+        for spec in suite(config.suite, config.dims):
             for inst in config.compare_instance_seeds():
                 for seed in config.seeds:
                     item_seed = derive_seed(
@@ -499,6 +499,27 @@ def test_features_keeps_its_sigma_list(trained, tmp_path):
     argv[0] = "features"
     assert cli.main(argv) == 0
     assert {r["sigma"] for r in read_rows(out / "features.csv")} == {"20", "50"}
+
+
+def test_features_samples_each_sigma_through_the_pool(trained, tmp_path, monkeypatch):
+    seen = []
+    real = harness.pool_map
+
+    def spy(fn, items, workers):
+        seen.append((items, workers))
+        return real(fn, items, workers)
+
+    monkeypatch.setattr(harness, "pool_map", spy)
+    written = []
+    for workers in (1, 2):
+        config = train_config(
+            tmp_path / f"w{workers}", seeds=(0,), sigmas=(20, 50), workers=workers
+        )
+        written.append(open(cmd_features(config), "rb").read())
+    keys = harness._test_keys(config, suite(config.suite, config.dims))
+    assert len(keys) == 10
+    assert seen == [(keys, 1), (keys, 1), (keys, 2), (keys, 2)]
+    assert written[0] == written[1]
 
 
 def test_cmd_report_rederives_wilcoxon(compared):
@@ -846,6 +867,34 @@ def test_compare_instance_seeds_disjoint_by_default():
     )
     mirrored = CampaignConfig(instances=2, paper_instances=True)
     assert mirrored.compare_instance_seeds() == mirrored.train_instance_seeds()
+    # seeds 101..200 are still disjoint from the training seeds 1..100
+    widest = CampaignConfig(instances=harness.COMPARE_INSTANCE_OFFSET)
+    assert set(widest.train_instance_seeds()).isdisjoint(widest.compare_instance_seeds())
+    # one more instance would put seed 101 in both sets; training is unaffected
+    config = CampaignConfig(instances=harness.COMPARE_INSTANCE_OFFSET + 1)
+    with pytest.raises(ContractError, match="instances must be <= 100 unless paper_instances"):
+        config.compare_instance_seeds()
+    assert config.validate().train_instance_seeds()[-1] == 101
+    mirrored = dataclasses.replace(config, paper_instances=True)
+    assert mirrored.compare_instance_seeds() == mirrored.train_instance_seeds()
+
+
+@pytest.mark.parametrize("command", ["compare", "features"])
+def test_held_out_instances_past_the_offset_are_rejected_before_any_run(
+    trained, tmp_path, capsys, monkeypatch, command
+):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(harness, "pool_map", no_run)
+    out = tmp_path / "out"
+    argv = compare_argv(trained[2], out, "literature", 1600)
+    argv[0] = command
+    argv[argv.index("--instances") + 1] = "150"
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: instances must be <= 100 unless paper_instances")
+    assert not out.exists()
 
 
 def test_all_four_methods_compare(trained):
@@ -1144,7 +1193,7 @@ def test_train_store_does_not_depend_on_workers(tmp_path):
     # the (function, D) design, for each seed
     config = train_config(tmp_path, **kw)
     expected = []
-    for spec in config.suite_specs():
+    for spec in suite(config.suite, config.dims):
         key = (spec.function_id, spec.dim)
         design = lhs_params(config.n_param_sets, substream(0, "param-design", *key))
         for inst in (1, 2):
@@ -1327,7 +1376,7 @@ def test_small_configs_run_or_fail_up_front(trained, overrides):
         except ContractError:
             assert not os.path.exists(out)
             return
-        assert report.n_failed == 0
+        assert sum(r["status"] != "ok" for r in report.alpha_rows) == 0
         assert report.alpha_rows
         assert all(r["status"] == "ok" for r in read_rows(os.path.join(out, "alpha.csv")))
 
