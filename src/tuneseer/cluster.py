@@ -14,22 +14,43 @@ finite and non-increasing, also when there are fewer distinct points than
 clusters.
 
 Every nearest-centroid answer -- each Lloyd pass and classification -- comes
-from ``_assign``, ties to the lowest centroid index, and all squared
-distances, the k-means++ seeding update too, from one kernel,
-``_pairwise_sq``.  It accumulates the (n, k) distance matrix column by
-column, ``d2 += diff * diff`` for feature 0, 1, ..., d - 1, so no (n, k, d)
-temporary is built.  For fewer than 8 features numpy's sum over the last
-axis of the broadcast form
-``((p[:, None] - c[None]) ** 2).sum(axis=2)`` is a plain left-to-right sum,
-so the two give the same floats bit for bit.  The centroid update sums each
-column with ``np.bincount`` in row order and divides by the member counts;
-for 2 or more features that is the order and the division of the masked
-``points[labels == c].mean(axis=0)``.  (With a single feature the masked
-mean sums pairwise and can differ in the last bit.)  Feature vectors have 3
-features, so fits and classifications equal those of the broadcast form.
-A GEMM form, ``|x|^2 - 2 x.c + |c|^2``, rounds differently: it would change
-assignments at near-ties and so the fitted models, which makes it a
-behaviour change of its own.
+from ``_nearest``, ties to the lowest centroid index, and all squared
+distances, the k-means++ seeding update and the Lloyd bounds too, from one
+kernel, ``_sq_dist``.  It works on points stored feature-major, one
+contiguous (d, n) copy, and gives the (k, n) distance matrix as
+``((p[:, None, :] - c[:, :, None]) ** 2).sum(axis=0)``: a sum over the
+outer axis adds feature 0, 1, ..., d - 1 in order, one contiguous (k, n)
+block at a time, from one (d, k, n) temporary.  For fewer than 8 features
+numpy's sum over the last axis of the broadcast form
+``((p[:, None] - c[None]) ** 2).sum(axis=2)`` is a plain left-to-right sum
+too, so the two give the same floats bit for bit.  The centroid update sums
+each (feature, centroid) bin with ``np.bincount`` in row order and divides
+by the member counts; for 2 or more features that is the order and the
+division of the masked ``points[labels == c].mean(axis=0)``.  (With a
+single feature the masked mean sums pairwise and can differ in the last
+bit.)  Feature vectors have 3 features, so fits and classifications equal
+those of the broadcast form.  A GEMM form, ``|x|^2 - 2 x.c + |c|^2``,
+rounds differently: it would change assignments at near-ties and so the
+fitted models, which makes it a behaviour change of its own.
+
+After the first pass a Lloyd pass gives a point a full distance row only
+when two bounds (Hamerly's) cannot prove its label.  The upper bound is the
+point's squared distance to its own centroid, recomputed every pass with the
+kernel, so it is also the distance the inertia sums.  The lower bound is the
+root of the runner-up in its last full row, deflated by a relative ``SLACK``
+of 1e-9 and an absolute ``FLOOR`` of 1e-150, and lowered after each update
+by the largest centroid move.  A point whose own distance is below its lower
+bound keeps its label, and every label stays the one a full row would give:
+a squared distance of a few terms is within a few units in the last place
+(about 1e-15 relative) of the exact one, and the bound's own rounding over
+``MAX_ITER`` updates stays below 1e-13 of it, so a proved label has a gap far
+above anything rounding could close, while a tie or near-tie (a runner-up
+within 1e-9 of the nearest) always gets a full row.  The floor keeps the
+proof out of subnormal numbers.  A re-seed moves a centroid out of the
+bounds' reach, so the pass after it gives every point a full row.  A run
+stops as soon as a pass repeats the labels its centroids were computed from:
+the update would give the same centroids bit for bit and the next pass the
+same labels, so the history gains the two entries those two steps would add.
 """
 
 from __future__ import annotations
@@ -48,6 +69,8 @@ log = logging.getLogger(__name__)
 RESTARTS = 10
 MAX_ITER = 300
 TOL = 1e-9
+SLACK = 1e-9
+FLOOR = 1e-150
 
 
 @dataclass(frozen=True)
@@ -85,11 +108,11 @@ class ClusterModel:
         """Index of the nearest centroid in scaled space; ties break to the
         lowest index."""
         z = self.scaler.transform(np.atleast_2d(np.asarray(point, dtype=float)))
-        return int(_assign(z, self.centroids)[0][0])
+        return int(_nearest(z.T, self.centroids.T)[0][0])
 
     def classify_all(self, points: np.ndarray) -> np.ndarray:
         z = self.scaler.transform(np.asarray(points, dtype=float))
-        return _assign(z, self.centroids)[0]
+        return _nearest(z.T, self.centroids.T)[0]
 
     def to_json(self) -> str:
         return json.dumps(
@@ -118,23 +141,29 @@ class ClusterModel:
         )
 
 
-def _pairwise_sq(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """(n, k) squared Euclidean distances, summed over the features in
-    column order (see the module docstring)."""
-    diff = points[:, None, 0] - centroids[None, :, 0]
-    d2 = diff * diff
-    for j in range(1, points.shape[1]):
-        diff = points[:, None, j] - centroids[None, :, j]
-        d2 += diff * diff
-    return d2
+def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between (d, ...) arrays broadcast over
+    their trailing axes, summed over the features in order (see the module
+    docstring)."""
+    diff = a - b
+    diff *= diff
+    return diff.sum(axis=0)
 
 
-def _assign(points: np.ndarray, centroids: np.ndarray):
-    """(labels, squared distance to the label's centroid) per point; a tie
-    goes to the lowest centroid index."""
-    d2 = _pairwise_sq(points, centroids)
-    labels = np.argmin(d2, axis=1)
-    return labels, d2[np.arange(len(labels)), labels]
+def _nearest(pt: np.ndarray, ct: np.ndarray):
+    """(labels, squared distance to the label's centroid, runner-up lower
+    bound) for the columns of a (d, m) point block and (d, k) centroids; a
+    tie goes to the lowest centroid index and leaves the bound below the
+    nearest distance."""
+    d2 = _sq_dist(pt[:, None, :], ct[:, :, None])
+    labels = np.argmin(d2, axis=0)
+    cols = np.arange(pt.shape[1])
+    point_d2 = d2[labels, cols]
+    d2[labels, cols] = np.inf
+    lower = np.sqrt(d2.min(axis=0))
+    lower *= 1.0 - SLACK
+    lower -= FLOOR
+    return labels, point_d2, lower
 
 
 def kmeanspp_seed(
@@ -146,8 +175,9 @@ def kmeanspp_seed(
     n = points.shape[0]
     if not 1 <= k <= n:
         raise ContractError(f"need 1 to {n} centroids, got k={k}")
+    pt = np.ascontiguousarray(points.T)
     chosen = [int(rng.integers(0, n))]
-    d2 = _pairwise_sq(points, points[chosen])[:, 0]
+    d2 = _sq_dist(pt, pt[:, chosen[0], None])
     while len(chosen) < k:
         total = d2.sum()
         if total <= 0.0:
@@ -156,7 +186,7 @@ def kmeanspp_seed(
             idx = int(np.searchsorted(np.cumsum(d2), rng.random() * total))
             idx = min(idx, n - 1)
         chosen.append(idx)
-        d2 = np.minimum(d2, _pairwise_sq(points, points[idx : idx + 1])[:, 0])
+        d2 = np.minimum(d2, _sq_dist(pt, pt[:, idx, None]))
     return points[chosen].copy()
 
 
@@ -171,32 +201,55 @@ def lloyd(points: np.ndarray, centroids: np.ndarray):
     k = centroids.shape[0]
     if not 1 <= k <= n:
         raise ContractError(f"need 1 to {n} initial centroids, got {k}")
-    centroids = centroids.copy()
+    pt = np.ascontiguousarray(points.T)
+    ct = centroids.T.copy()
+    bins = k * np.arange(d)[:, None]  # one bincount bin per (feature, centroid)
     history = []
     shift = np.inf
+    labels = None  # the labels the centroids were computed from
+    full = True
     for updates_left in range(MAX_ITER, -1, -1):
-        labels, point_d2 = _assign(points, centroids)
+        if full:
+            assigned, point_d2, lower = _nearest(pt, ct)
+        else:
+            point_d2 = _sq_dist(pt, ct.take(labels, axis=1))
+            recheck = np.flatnonzero(~(np.sqrt(point_d2) < lower))
+            assigned = labels.copy()
+            if recheck.size:
+                assigned[recheck], point_d2[recheck], lower[recheck] = _nearest(
+                    pt[:, recheck], ct
+                )
         if shift < TOL or updates_left == 0:
+            labels = assigned
             break
+        if np.array_equal(assigned, labels):
+            # the update would give these centroids again, bit for bit, and
+            # the next assignment these labels and distances
+            history.append(float(point_d2.sum()))
+            break
+        labels = assigned
         counts = np.bincount(labels, minlength=k)
-        for c in np.flatnonzero(counts == 0):
+        empty = np.flatnonzero(counts == 0)
+        for c in empty:
             # the farthest point that does not leave its cluster empty
             far = int(np.argmax(np.where(counts[labels] > 1, point_d2, -1.0)))
             counts[labels[far]] -= 1
             counts[c] = 1
-            centroids[c] = points[far]
+            ct[:, c] = pt[:, far]
             labels[far] = c
             point_d2[far] = 0.0
+        full = empty.size > 0
         history.append(float(point_d2.sum()))
-        sums = np.empty((k, d))
-        for j in range(d):
-            sums[:, j] = np.bincount(labels, weights=points[:, j], minlength=k)
-        new_centroids = sums / counts[:, None]
-        shift = float(np.max(np.abs(new_centroids - centroids)))
-        centroids = new_centroids
+        sums = np.bincount((labels + bins).ravel(), weights=pt.ravel(), minlength=k * d)
+        new_ct = sums.reshape(d, k) / counts
+        shift = float(np.abs(new_ct - ct).max())
+        if not full:
+            # each bound falls by the largest move of any centroid
+            lower -= np.sqrt(_sq_dist(new_ct, ct).max())
+        ct = new_ct
     inertia = float(point_d2.sum())
     history.append(inertia)
-    return centroids, labels, inertia, history
+    return ct.T.copy(), labels, inertia, history
 
 
 def fit(points, k: int, seed: int = 0, scale: bool = True) -> ClusterModel:

@@ -553,9 +553,10 @@ def cmd_compare(config: CampaignConfig) -> ComparisonReport:
 # ---------------------------------------------------------------------------
 
 
-def _sample_features(config: CampaignConfig, sigma: int, key: RunKey) -> FeatureVector:
-    """One test key's features from ``sigma`` samples, seeded by the campaign
-    seed, the key and sigma."""
+def _sample_features(config: CampaignConfig, item: tuple) -> FeatureVector:
+    """One (sigma, test key) pair's features from ``sigma`` samples, seeded
+    by the campaign seed, the key and sigma."""
+    sigma, key = item
     seed = derive_seed(config.campaign_seed, "features-cmd", *key, sigma)
     return extract_features(key.instance(), sigma, seed)
 
@@ -566,9 +567,13 @@ def cmd_features(config: CampaignConfig) -> str:
     config.validate()
     _require_seeds(config.seeds, "seeds")
     keys = _test_keys(config, suite(config.suite, config.dims))
+    sigmas = config.sigmas or (config.sigma,)
+    # one pool over every (sigma, key) pair, then one fit per sigma
+    items = [(sigma, key) for sigma in sigmas for key in keys]
+    all_betas = pool_map(partial(_sample_features, config), items, config.workers)
     rows = []
-    for sigma in config.sigmas or (config.sigma,):
-        betas = pool_map(partial(_sample_features, config, sigma), keys, config.workers)
+    for i, sigma in enumerate(sigmas):
+        betas = all_betas[i * len(keys) : (i + 1) * len(keys)]
         points = np.array([beta.as_array() for beta in betas])
         model = cluster.fit(
             points, config.kappa, seed=config.campaign_seed, scale=config.feature_scaling

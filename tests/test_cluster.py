@@ -445,3 +445,83 @@ def test_lloyd_stops_at_iteration_cap_like_reference(monkeypatch, cap):
         got = lloyd(pts, init)
         _assert_lloyd_equal(got, _reference_lloyd(pts, init, max_iter=cap))
         assert len(got[3]) == cap + 1
+
+
+# -- the bound-pruned Lloyd passes against the full-row reference ----------
+#
+# A pass after the first proves most labels from bounds instead of full
+# distance rows.  Exact ties and near-ties are where a float bound could
+# misjudge a label, so these inputs are made of them.
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    distinct=st.integers(2, 12),
+    n=st.integers(2, 60),
+    d=st.integers(2, 4),
+    data=st.data(),
+)
+def test_lloyd_matches_reference_on_integer_grids(seed, distinct, n, d, data):
+    # repeated rows and exact distance ties, up to k = the number of
+    # distinct rows
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(-2, 3, size=(distinct, d)).astype(float)
+    pts = rows[rng.integers(0, distinct, size=n)]
+    k = data.draw(st.integers(1, len(np.unique(pts, axis=0))), label="k")
+    init = kmeanspp_seed(pts, k, substream(seed))
+    _assert_lloyd_equal(lloyd(pts, init), _reference_lloyd(pts, init))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(2, 4),
+    copies=st.integers(1, 3),
+    extra=st.integers(0, 30),
+)
+def test_lloyd_matches_reference_on_a_bisector(seed, d, copies, extra):
+    # every grid point exactly as far from both seeds, repeated, plus a
+    # random cloud; with two centroids an empty cluster leaves every point
+    # in the other one, so the reference's re-seeding agrees with lloyd's
+    rng = np.random.default_rng(seed)
+    step = 2.0 * rng.integers(-1, 2, size=d)
+    step[0] = 2.0  # the midpoint is a grid point, and so on the bisector
+    seeds = rng.integers(-2, 3, size=d) + np.stack([np.zeros(d), step])
+    grid = np.array(list(itertools.product(range(-4, 5), repeat=d)), dtype=float)
+    to_seed = [((grid - seed) ** 2).sum(axis=1) for seed in seeds]
+    on_bisector = np.repeat(grid[to_seed[0] == to_seed[1]], copies, axis=0)
+    cloud = rng.integers(-4, 5, size=(extra, d)) + rng.choice([0.0, 0.5], size=(extra, d))
+    pts = rng.permutation(np.vstack([on_bisector, cloud]))
+    _assert_lloyd_equal(lloyd(pts, seeds), _reference_lloyd(pts, seeds))
+
+
+def _empty_cluster_updates(points, init):
+    """The updates (counted from 0) that the reference starts with an empty
+    cluster, so re-seeds."""
+    updates = len(_reference_lloyd(points, init)[3]) - 1
+    labels_after = [_reference_lloyd(points, init, max_iter=t)[1] for t in range(updates)]
+    return [t for t, labels in enumerate(labels_after) if len(set(labels)) < len(init)]
+
+
+@pytest.mark.parametrize("seed", [44, 72, 74, 84])
+def test_lloyd_matches_reference_across_a_mid_run_reseed(seed):
+    # three centroids inside one of two blobs: one of them empties after the
+    # first update, when the passes prove labels from their bounds
+    rng = np.random.default_rng(seed)
+    pts = np.vstack([rng.normal(size=(12, 2)), rng.normal(size=(12, 2)) + 20.0])
+    init = pts[:3] + rng.normal(scale=0.01, size=(3, 2))
+    assert _empty_cluster_updates(pts, init) == [1]
+    _assert_lloyd_equal(lloyd(pts, init), _reference_lloyd(pts, init))
+
+
+def test_fit_matches_broadcast_reference_at_5000_rows():
+    pts = _feature_like(5000, seed=5000)
+    model = fit(pts, 10, seed=3)
+    centroids, scaler, inertia = _reference_fit(pts, 10, seed=3)
+    assert np.array_equal(model.centroids, centroids)
+    assert model.inertia == inertia
+    probe = _feature_like(2000, seed=5001)
+    assert np.array_equal(
+        model.classify_all(probe), _reference_classify_all(centroids, scaler, probe)
+    )

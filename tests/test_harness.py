@@ -518,7 +518,8 @@ def test_features_samples_each_sigma_through_the_pool(trained, tmp_path, monkeyp
         written.append(open(cmd_features(config), "rb").read())
     keys = harness._test_keys(config, suite(config.suite, config.dims))
     assert len(keys) == 10
-    assert seen == [(keys, 1), (keys, 1), (keys, 2), (keys, 2)]
+    pairs = [(sigma, key) for sigma in (20, 50) for key in keys]
+    assert seen == [(pairs, 1), (pairs, 2)]
     assert written[0] == written[1]
 
 
