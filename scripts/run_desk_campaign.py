@@ -8,7 +8,9 @@ them to every step, after its own `--out $TUNESEER_DATA/desk` (or
 ./runs/desk) and `--workers <cpu count>`, which they override.  Each step
 then fixes its suite, and the features step fixes `--seeds 0,` and
 `--sigma 10,100,1000`.  A step that fails ends the script with its exit
-code.  Expect roughly 10-30 minutes at the default sizes.
+code.  At the default sizes on 2 workers, train took 104 s (ROADMAP, PR-30
+re-anchor) and compare 438 s (BENCH_31.json, one wall-clock run); features
+takes under 1 s.
 
     python scripts/run_desk_campaign.py --dims 2,10 --seeds 10 --workers 2
 """

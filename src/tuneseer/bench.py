@@ -1,10 +1,18 @@
 """Deterministic, instanced suite of continuous black-box benchmark functions.
 
-Two disjoint presets map function ids to base functions: a training suite of
+Two presets map function ids to base functions: a training suite of
 ten functions spanning separable unimodal, high-conditioning, strongly and
 weakly structured multimodal, plateau, and asymmetric-valley landscapes, and a
 held-out suite of six further functions for out-of-sample testing.  Every
 function shares the box [-5, 5]^D and is defined for any dimension D >= 2.
+
+The presets share no function id, but they are not disjoint in
+distribution.  A rotated entry at an instance is its base function under the
+orthogonal map Q R, Q its fixed intrinsic rotation and R the instance's.  R
+is Haar-distributed, so Q R is too: at every instance seed >= 1, held-out
+ridge_rotated and rosenbrock_rotated are draws from the training suite's
+sharp_ridge and rosenbrock, and rotated_ellipsoid one from ellipsoid.  Only
+instance seed 0 tells them apart.
 
 An instance fixes (function id, dim, instance seed) and applies an
 optimum shift plus an orthogonal rotation:
@@ -216,7 +224,13 @@ def _weierstrass(z: np.ndarray) -> np.ndarray:
 
     The arrays are built for blocks of rows at a time, so evaluation memory
     stays bounded for any batch.  Each row is worked out on its own, so its
-    value does not depend on the block size or on the other rows."""
+    value does not depend on the block size or on the other rows.  The
+    blocks are there for large batches, not for the values: without them
+    the same recurrence gave bit-identical values at all 90 shapes tried
+    (D in {2, 3, 10, 20, 50}, 1 to 20,000 rows), in the same time up to
+    1,000 x 20, the largest campaign batch (sigma 1000 at D = 20) and one
+    block anyway.  At 10,000 x 50 it took 38.8 ms against 18.7 ms, with a
+    tracemalloc peak of 12.2 MB against 1.4 MB (2 shared cores)."""
     n, d = z.shape
     out = np.empty(n)
     rows = max(1, _WEIERSTRASS_BLOCK // d)

@@ -173,7 +173,7 @@ class CampaignConfig:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except ValueError as exc:  # json.JSONDecodeError, UnicodeDecodeError
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, deep nesting
             raise ContractError(f"{path}: {exc}") from None
         if not isinstance(raw, dict):
             raise ContractError(f"{path}: expected a JSON object, got {raw!r}")
@@ -263,7 +263,6 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path, columns, rows) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
@@ -272,7 +271,6 @@ def _write_csv(path, columns, rows) -> None:
 
 
 def _write_suite_json(out_dir: str, specs: list[ObjectiveSpec]) -> None:
-    os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "suite.json"), "w", encoding="utf-8") as fh:
         json.dump(suite_listing(specs), fh, indent=2)
         fh.write("\n")
@@ -455,7 +453,6 @@ def _write_curves(out_dir: str, results: list) -> None:
     in row order, and the stable sort by file and method keeps that order
     among each method's instances."""
     curve_dir = os.path.join(out_dir, "curves")
-    os.makedirs(curve_dir, exist_ok=True)
     runs = sorted(
         (
             (f"{row['function_id']}_{row['dim']}_{row['run_seed']}.csv", row, curve)
@@ -518,6 +515,8 @@ def cmd_compare(config: CampaignConfig) -> ComparisonReport:
     if predictive:
         model, table = refit()
         batches = [keys] if config.retrain == "per-batch" else [[k] for k in keys]
+    # <out>/curves before the first run: a write that fails would lose every run
+    os.makedirs(os.path.join(config.out, "curves"), exist_ok=True)
     results = []
     for batch in batches:
         items += [_CompareItem(METHOD_PREDICTIVE, key) for key in batch]
@@ -567,6 +566,7 @@ def cmd_features(config: CampaignConfig) -> str:
     config.validate()
     _require_seeds(config.seeds, "seeds")
     keys = _test_keys(config, suite(config.suite, config.dims))
+    os.makedirs(config.out, exist_ok=True)
     sigmas = config.sigmas or (config.sigma,)
     # one pool over every (sigma, key) pair, then one fit per sigma
     items = [(sigma, key) for sigma in sigmas for key in keys]
@@ -641,22 +641,28 @@ def read_alpha_csv(path: str) -> list:
     """The rows of an alpha.csv as ``compare`` made them, each cell of its
     ``ALPHA_TYPES`` type or None if empty.  A row ``compare`` cannot write
     raises ``ContractError`` naming the file and its 1-based line: a line
-    that is not UTF-8, a header other than ``ALPHA_COLUMNS`` or a cell past
-    it, a cell not as ``_fmt`` writes its value or not finite, an unknown
-    method or status, an ok row with an empty cell (but shade's triple) or an
-    invalid triple, a failed row with more than its key, method and status, a
-    key ``RunKey.validate`` rejects, or a repeated key."""
+    that is not UTF-8 or that csv cannot parse, a header other than
+    ``ALPHA_COLUMNS`` or a cell past it, a cell not as ``_fmt`` writes its
+    value or not finite, an unknown method or status, an ok row with an empty
+    cell (but shade's triple) or an invalid triple, a failed row with more
+    than its key, method and status, a key ``RunKey.validate`` rejects, or a
+    repeated key."""
     rows = []
     seen = set()
     reader = csv.DictReader(utf8_lines(path))
-    header = list(reader.fieldnames or ())
+    try:
+        header = list(reader.fieldnames or ())
+        numbered = [(reader.line_num, raw) for raw in reader]
+    except csv.Error as exc:  # such as a cell past csv's field size limit
+        # DictReader's own line_num stops at the last row it returned
+        raise ContractError(f"{path}:{reader.reader.line_num}: {exc}") from None
     if header != list(ALPHA_COLUMNS):
         missing = [c for c in ALPHA_COLUMNS if c not in header]
         if missing:
             raise ContractError(f"{path}:1: missing columns {missing}")
         raise ContractError(f"{path}:1: columns must be {list(ALPHA_COLUMNS)}, got {header}")
-    for raw in reader:
-        where = f"{path}:{reader.line_num}"
+    for line, raw in numbered:
+        where = f"{path}:{line}"
         if None in raw:
             raise ContractError(f"{where}: cells past the last column: {raw[None]}")
         row = {}

@@ -184,7 +184,8 @@ class TrainingStore:
                 records.append(TrainingRecord.from_json_line(line))
             except KeyError as exc:
                 raise ContractError(f"{path}:{lineno}: record has no field {exc}") from exc
-            except (ValueError, TypeError, OverflowError) as exc:  # an int past float range
+            # an int past float range overflows; deep nesting recurses too far
+            except (ValueError, TypeError, OverflowError, RecursionError) as exc:
                 raise ContractError(f"{path}:{lineno}: bad record: {exc}") from exc
         return cls(records, path=path)
 

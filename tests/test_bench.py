@@ -233,6 +233,33 @@ def test_rotated_ellipsoid_differs_from_separable():
     assert abs(sep[0] - rot[0]) > 1.0
 
 
+@pytest.mark.parametrize(
+    "name,base",
+    [
+        ("rotated_ellipsoid", "ellipsoid"),
+        ("ridge_rotated", "sharp_ridge"),
+        ("rosenbrock_rotated", "rosenbrock"),
+    ],
+)
+def test_rotated_instance_is_its_base_under_the_composed_rotation(name, base):
+    # base(Q R (x - shift)): the training function's instance with rotation
+    # Q R.  R is Haar-distributed, so Q R is too, and from instance seed 1 on
+    # a rotated entry is a draw from its base function's instances
+    assert base in TRAINING_PRESET
+    rng = np.random.default_rng(0)
+    for d in (2, 10, 20):
+        q = bench._intrinsic_rotation(name, d)
+        for seed in (1, 101):
+            inst = make_instance(ObjectiveSpec(name, d), seed)
+            composed = bench.ObjectiveInstance(
+                ObjectiveSpec(base, d), inst.shift, q @ inst.rotation
+            )
+            points = rng.uniform(-5.0, 5.0, size=(50, d))
+            np.testing.assert_allclose(
+                inst.evaluate_batch(points), composed.evaluate_batch(points), rtol=1e-12
+            )
+
+
 def test_step_function_plateau():
     inst = make_instance(ObjectiveSpec("step", 3), 0)
     # inside the central plateau only the weak |z_1| slope remains

@@ -595,6 +595,11 @@ _PAST_LAST = "past the last column"
         (5, "function_id", "nope", "unknown function id 'nope'"),
         (3, "dim", "0", "dim must be >= 2, got 0"),
         (5, "instance_seed", "-4", "instance_seed must be >= 1, got -4"),
+        # a cell csv itself cannot read
+        pytest.param(
+            4, "status", "x" * 200_000, "field larger than field limit (131072)",
+            id="4-status-200,000 characters-field larger than field limit",
+        ),
     ],
 )
 def test_report_names_line_of_malformed_alpha_csv(
@@ -754,6 +759,10 @@ def test_cli_config_file_must_hold_an_object(tmp_path, capsys, text):
         (b'{"dims": [2,}', "Expecting value: line 1 column 13 (char 12)"),
         (b'{"dims": [2]}\xff', "'utf-8' codec can't decode byte 0xff in position 13"),
         (b'{"nonsense": 1}', "unknown config keys: ['nonsense']"),
+        pytest.param(
+            b"[" * 100_000, "maximum recursion depth exceeded",
+            id="100,000 nested arrays-maximum recursion depth exceeded",
+        ),
     ],
 )
 def test_cli_config_file_errors_name_the_file(tmp_path, capsys, data, reason):
@@ -1213,23 +1222,38 @@ def _train_argv(out, store):
     ]
 
 
-def test_train_makes_the_store_directory_before_any_run(tmp_path, monkeypatch):
-    store = tmp_path / "out" / "sub" / "store.jsonl"
+def _campaign_argv(command, tmp_path, base):
+    """``command``'s argv with its store (train) or its --out (compare,
+    features) at ``base / "sub"``, and the directory it makes before its
+    first run."""
+    sub = base / "sub"
+    if command == "train":
+        return _train_argv(tmp_path / "out", sub / "store.jsonl"), sub
+    argv = compare_argv(str(tmp_path / "store.jsonl"), sub, "literature", 1600)
+    argv[0] = command
+    return argv, sub / "curves" if command == "compare" else sub
+
+
+@pytest.mark.parametrize("command", ["train", "compare", "features"])
+def test_train_makes_the_store_directory_before_any_run(tmp_path, monkeypatch, command):
+    argv, directory = _campaign_argv(command, tmp_path, tmp_path / "out")
     made = []
     real = harness.pool_map
 
     def spy(*args, **kwargs):
-        made.append(store.parent.is_dir())
+        made.append(directory.is_dir())
         return real(*args, **kwargs)
 
     monkeypatch.setattr(harness, "pool_map", spy)
-    assert cli.main(_train_argv(tmp_path / "out", store)) == 0
+    assert cli.main(argv) == 0
     assert made == [True]
-    assert len(TrainingStore.load(store)) == 20
+    if command == "train":
+        assert len(TrainingStore.load(directory / "store.jsonl")) == 20
 
 
+@pytest.mark.parametrize("command", ["train", "compare", "features"])
 def test_train_store_directory_that_cannot_be_made_fails_before_any_run(
-    tmp_path, capsys, monkeypatch
+    tmp_path, capsys, monkeypatch, command
 ):
     def no_run(*args, **kwargs):
         raise AssertionError("a run started")
@@ -1237,10 +1261,10 @@ def test_train_store_directory_that_cannot_be_made_fails_before_any_run(
     monkeypatch.setattr(harness, "pool_map", no_run)
     blocked = tmp_path / "file"
     blocked.write_text("")
-    store = blocked / "sub" / "store.jsonl"
-    assert cli.main(_train_argv(tmp_path / "out", store)) == 2
+    argv, _ = _campaign_argv(command, tmp_path, blocked)
+    assert cli.main(argv) == 2
     err = capsys.readouterr().err
-    # the error names the directory, not a half-written store file
+    # the error names the directory, not a half-written output file
     assert err.startswith("i/o error: ") and err.endswith(f"'{blocked / 'sub'}'\n")
     assert blocked.read_text() == ""
 

@@ -267,6 +267,10 @@ def test_failed_save_leaves_previous_file_intact(tmp_path, monkeypatch):
         ('{"p1": 0.5, "p2"', "bad record"),
         ('{"p1": 0.5, "p2": 0.5}', "no field 'p3'"),
         ("[1, 2]", "bad record"),
+        pytest.param(
+            "[" * 100_000, "bad record: maximum recursion depth exceeded",
+            id="100,000 nested arrays-bad record",
+        ),
     ],
 )
 def test_load_names_path_and_line_of_bad_record(tmp_path, bad_line, reason):
